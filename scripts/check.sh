@@ -85,7 +85,7 @@ cmake -B "${NOTRACE_DIR}" -S . -DSFC_TRACE=OFF \
 cmake --build "${NOTRACE_DIR}" -j "${JOBS}" \
   --target perf_simulator verify_runner test_trace test_exec
 ctest --test-dir "${NOTRACE_DIR}" -L "trace|exec" --output-on-failure -j "${JOBS}"
-# The disabled flavour still emits schema-3 BENCH JSON (counters present,
+# The disabled flavour still emits schema-4 BENCH JSON (counters present,
 # zero) and must pass the same schema + key-set validation.
 "${NOTRACE_DIR}/bench/perf_simulator" --smoke \
   --json "${NOTRACE_DIR}/BENCH_solver.json"

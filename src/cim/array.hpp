@@ -81,8 +81,9 @@ class CiMRow {
   std::vector<CellHandles> cells_;
   sfc::spice::VSource* en_ = nullptr;
   /// Engine kept across evaluate() calls so the solver workspace — the
-  /// compiled stamp pattern and LU plan — is reused between MAC cycles on
-  /// the same array (results are independent of workspace state).
+  /// stamp pattern and sparse LU pivot order — is reused between MAC
+  /// cycles on the same array. A warm order can differ from a fresh one,
+  /// so results depend on earlier cycles only in the last bits.
   std::optional<sfc::spice::Engine> engine_;
 };
 

@@ -27,6 +27,8 @@ BehavioralArrayModel BehavioralArrayModel::calibrate(
   row.set_stored(std::vector<int>(static_cast<std::size_t>(n), 1));
   m.v_.assign(temps_c.size() * static_cast<std::size_t>(n + 1), 0.0);
 
+  // verify::spice_vs_behavioral replays this (temperature, MAC) order on a
+  // fresh row and expects the same bits; keep the two loops in step.
   for (std::size_t ti = 0; ti < temps_c.size(); ++ti) {
     for (int k = 0; k <= n; ++k) {
       std::vector<int> inputs(static_cast<std::size_t>(n), 1);

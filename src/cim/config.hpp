@@ -117,9 +117,8 @@ struct ArrayConfig {
   Cell2TConfig cell2t;
   Cell1RConfig cell1r;
   SenseConfig sense;
-  /// Newton solver knobs for every MAC-cycle transient; defaults enable
-  /// the stamp-plan hot path. Benchmarks and A/B tests flip
-  /// newton.use_stamp_plan to compare against the legacy assembler.
+  /// Newton solver knobs (iteration limit, tolerances, damping, gmin) for
+  /// every MAC-cycle transient.
   sfc::spice::NewtonOptions newton;
 
   /// WL level used for input '1' under this configuration.

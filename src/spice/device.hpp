@@ -52,13 +52,11 @@ class Stamper {
           const std::vector<double>& x, std::size_t num_nodes)
       : a_(a), b_(b), x_(x), num_nodes_(num_nodes) {}
 
-  /// Record every touched matrix entry into `pattern` (row-major dim*dim
-  /// flags). The engine runs one recording pass per circuit/analysis mode
-  /// to learn the structural sparsity its compiled LU plan relies on.
-  void record_pattern(std::vector<char>* pattern, std::size_t dim) {
-    pattern_ = pattern ? pattern->data() : nullptr;
-    pattern_dim_ = dim;
-  }
+  /// Append the flat row-major index of every stamped matrix entry to
+  /// `pattern` (repeats included). The engine runs one recording pass per
+  /// circuit/analysis mode to learn the structural sparsity its sparse LU
+  /// relies on.
+  void record_pattern(std::vector<int>* pattern) { pattern_ = pattern; }
 
   /// Debug guard for the stamp-plan baseline: devices claiming
   /// Device::is_linear() must not read the Newton iterate, so v()/aux()
@@ -120,8 +118,7 @@ class Stamper {
   void add_matrix(int row, int col, double value) {
     if (row < 0 || col < 0) return;  // ground row/col dropped
     if (pattern_) {
-      pattern_[static_cast<std::size_t>(row) * pattern_dim_ +
-               static_cast<std::size_t>(col)] = 1;
+      pattern_->push_back(row * static_cast<int>(a_.cols()) + col);
     }
     a_.at(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) +=
         value;
@@ -136,8 +133,7 @@ class Stamper {
   std::vector<double>& b_;
   const std::vector<double>& x_;
   std::size_t num_nodes_;
-  char* pattern_ = nullptr;
-  std::size_t pattern_dim_ = 0;
+  std::vector<int>* pattern_ = nullptr;
   bool forbid_iterate_reads_ = false;
 };
 

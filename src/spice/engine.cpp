@@ -31,24 +31,6 @@ std::vector<double> Engine::initial_vector() const {
   return x;
 }
 
-void Engine::assemble(const SimContext& ctx, const std::vector<double>& x,
-                      DenseMatrix& a, std::vector<double>& b) const {
-  a.set_zero();
-  std::fill(b.begin(), b.end(), 0.0);
-  Stamper stamper(a, b, x, circuit_.num_nodes());
-  for (Device* dev : circuit_.linear_devices()) {
-    dev->stamp(ctx, stamper);
-  }
-  // gmin from every node to ground keeps the matrix nonsingular when
-  // subthreshold devices are effectively off.
-  for (std::size_t n = 0; n < circuit_.num_nodes(); ++n) {
-    a.at(n, n) += ctx.gmin;
-  }
-  for (Device* dev : circuit_.nonlinear_devices()) {
-    dev->stamp(ctx, stamper);
-  }
-}
-
 bool Engine::apply_update(std::vector<double>& x,
                           const std::vector<double>& x_new,
                           const NewtonOptions& options) const {
@@ -76,36 +58,13 @@ bool Engine::apply_update(std::vector<double>& x,
   return max_delta_v < options.vtol && aux_converged;
 }
 
-bool Engine::newton_solve_legacy(const SimContext& ctx, std::vector<double>& x,
-                                 const NewtonOptions& options,
-                                 int* iterations_out) {
-  const std::size_t size = circuit_.system_size();
-  DenseMatrix a(size, size);
-  std::vector<double> b(size, 0.0);
-  std::vector<double> x_new(size, 0.0);
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    assemble(ctx, x, a, b);
-    x_new = b;
-    SFC_TRACE_COUNT("spice.lu.dense_solves", 1);
-    if (!lu_solve(a, x_new)) {
-      if (iterations_out) *iterations_out = iter + 1;
-      return false;
-    }
-    const bool converged = apply_update(x, x_new, options);
-    if (iterations_out) *iterations_out = iter + 1;
-    if (converged && iter > 0) return true;
-  }
-  return false;
-}
-
-void Engine::prepare_workspace(const SimContext& ctx) {
+SolverWorkspace& Engine::prepare_workspace(const SimContext& ctx) {
   SolverWorkspace& ws = workspaces_[static_cast<int>(ctx.mode)];
   const std::size_t size = circuit_.system_size();
   if (ws.size == size && ws.mode == ctx.mode &&
       ws.plan_version == circuit_.plan_version()) {
     SFC_TRACE_COUNT("spice.stampplan.cache_hits", 1);
-    return;
+    return ws;
   }
   SFC_TRACE_COUNT("spice.stampplan.compiles", 1);
   ws.a = DenseMatrix(size, size);
@@ -113,36 +72,25 @@ void Engine::prepare_workspace(const SimContext& ctx) {
   ws.b.assign(size, 0.0);
   ws.b_base.assign(size, 0.0);
   ws.x_new.assign(size, 0.0);
-  ws.pattern.assign(size * size, 0);
-  ws.pattern_valid = false;
+  ws.pattern.clear();
   ws.plan.reset();
   ws.size = size;
   ws.mode = ctx.mode;
   ws.plan_version = circuit_.plan_version();
+  return ws;
 }
 
 bool Engine::newton_solve(const SimContext& ctx, std::vector<double>& x,
                           const NewtonOptions& options, int* iterations_out) {
   SFC_TRACE_SPAN("spice.newton_solve");
   circuit_.finalize();
-  int iters = 0;
-  const bool ok = options.use_stamp_plan
-                      ? newton_solve_plan(ctx, x, options, &iters)
-                      : newton_solve_legacy(ctx, x, options, &iters);
-  if (iterations_out) *iterations_out = iters;
-  SFC_TRACE_COUNT("spice.newton.solves", 1);
-  SFC_TRACE_COUNT("spice.newton.iterations", iters);
-  if (!ok) SFC_TRACE_COUNT("spice.newton.failures", 1);
-  return ok;
-}
-
-bool Engine::newton_solve_plan(const SimContext& ctx, std::vector<double>& x,
-                               const NewtonOptions& options,
-                               int* iterations_out) {
-  SolverWorkspace& ws = workspaces_[static_cast<int>(ctx.mode)];
-  prepare_workspace(ctx);
+  SolverWorkspace& ws = prepare_workspace(ctx);
   const std::size_t size = ws.size;
   const std::size_t num_nodes = circuit_.num_nodes();
+
+  // The first solve of a workspace records the structural pattern: every
+  // entry any stamp touches.
+  bool recording = ws.pattern.empty();
 
   // Baseline: linear stamps + gmin, valid for the whole solve. Linear
   // devices may not read the Newton iterate (Device::is_linear contract),
@@ -151,7 +99,7 @@ bool Engine::newton_solve_plan(const SimContext& ctx, std::vector<double>& x,
   std::fill(ws.b_base.begin(), ws.b_base.end(), 0.0);
   {
     Stamper stamper(ws.a_base, ws.b_base, x, num_nodes);
-    if (!ws.pattern_valid) stamper.record_pattern(&ws.pattern, size);
+    if (recording) stamper.record_pattern(&ws.pattern);
 #ifndef NDEBUG
     stamper.forbid_iterate_reads(true);
 #endif
@@ -159,66 +107,61 @@ bool Engine::newton_solve_plan(const SimContext& ctx, std::vector<double>& x,
       dev->stamp(ctx, stamper);
     }
   }
+  // gmin from every node to ground keeps the matrix nonsingular when
+  // subthreshold devices are effectively off.
   for (std::size_t n = 0; n < num_nodes; ++n) {
     ws.a_base.at(n, n) += ctx.gmin;
-    if (!ws.pattern_valid) ws.pattern[n * size + n] = 1;
+    if (recording) ws.pattern.push_back(static_cast<int>(n * size + n));
   }
 
-  // Restore the baseline and restamp only the nonlinear devices; the
-  // resulting (A, b) is bit-identical to assemble() because the stamp
-  // order (linear, gmin, nonlinear) is the same.
+  // Restore the baseline and restamp only the nonlinear devices. The LU
+  // never writes `a` and stamps land inside the pattern, so restoring the
+  // pattern entries equals a full copy.
   const auto restamp = [&]() {
-    if (ws.plan.valid() && !ws.plan.last_factor_full()) {
-      // The previous solve only wrote inside the compiled schedule, and
-      // linear stamps never land outside it, so restoring the touched
-      // entries leaves A bitwise equal to a full copy.
+    if (recording) {
+      ws.a = ws.a_base;
+    } else {
       const double* src = ws.a_base.data();
       double* dst = ws.a.data();
-      for (const int idx : ws.plan.touched_indices()) dst[idx] = src[idx];
-    } else {
-      ws.a.copy_from(ws.a_base);
+      for (const int idx : ws.pattern) dst[idx] = src[idx];
     }
     std::copy(ws.b_base.begin(), ws.b_base.end(), ws.b.begin());
     Stamper stamper(ws.a, ws.b, x, num_nodes);
-    if (!ws.pattern_valid) stamper.record_pattern(&ws.pattern, size);
+    if (recording) stamper.record_pattern(&ws.pattern);
     for (Device* dev : circuit_.nonlinear_devices()) {
       dev->stamp(ctx, stamper);
     }
-    ws.pattern_valid = true;
+    if (recording) {
+      std::sort(ws.pattern.begin(), ws.pattern.end());
+      ws.pattern.erase(std::unique(ws.pattern.begin(), ws.pattern.end()),
+                       ws.pattern.end());
+      recording = false;
+    }
     ws.x_new.assign(ws.b.begin(), ws.b.end());
   };
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  const std::size_t refreezes_before = ws.plan.refreeze_count();
+  int iters = 0;
+  bool ok = false;
+  while (iters < options.max_iterations) {
     restamp();
-    bool factored;
-    if (options.reuse_pivot_order) {
-      // solve_frozen's schedule is pivot-robust (drift just re-records
-      // the order), so a false return means a genuinely singular system —
-      // exactly when factor_and_compile/lu_solve would fail too.
-      if (ws.plan.valid()) {
-        const std::size_t refreezes_before = ws.plan.refreeze_count();
-        factored =
-            ws.plan.solve_frozen(ws.a, ws.x_new, options.pivot_degradation);
-        SFC_TRACE_COUNT("spice.lu.frozen_solves", 1);
-        SFC_TRACE_COUNT("spice.lu.refreezes",
-                        ws.plan.refreeze_count() - refreezes_before);
-      } else {
-        factored = ws.plan.factor_and_compile(ws.a, ws.x_new, ws.pattern);
-        SFC_TRACE_COUNT("spice.lu.factorizations", 1);
-      }
-    } else {
-      factored = lu_solve(ws.a, ws.x_new);
-      SFC_TRACE_COUNT("spice.lu.dense_solves", 1);
+    ++iters;
+    if (!ws.plan.solve(ws.a, ws.pattern, ws.x_new)) break;
+    if (apply_update(x, ws.x_new, options) && iters > 1) {
+      ok = true;
+      break;
     }
-    if (!factored) {
-      if (iterations_out) *iterations_out = iter + 1;
-      return false;
-    }
-    const bool converged = apply_update(x, ws.x_new, options);
-    if (iterations_out) *iterations_out = iter + 1;
-    if (converged && iter > 0) return true;
   }
-  return false;
+  if (recording) ws.pattern.clear();  // no iteration ran to finish it
+  if (iterations_out) *iterations_out = iters;
+  // Counted on every solve, re-order or not, so the counter is always
+  // registered and the metrics key set does not depend on the data.
+  SFC_TRACE_COUNT("spice.lu.refreezes",
+                  ws.plan.refreeze_count() - refreezes_before);
+  SFC_TRACE_COUNT("spice.newton.solves", 1);
+  SFC_TRACE_COUNT("spice.newton.iterations", iters);
+  if (!ok) SFC_TRACE_COUNT("spice.newton.failures", 1);
+  return ok;
 }
 
 void Engine::set_preflight(PreflightCheck check) {

@@ -27,44 +27,26 @@ struct NewtonOptions {
   double gmin_start = 1e-3;
   /// gmin reduction factor per stepping stage.
   double gmin_step_factor = 10.0;
-
-  // --- solver hot path (see DESIGN.md "Solver hot path") -------------
-  /// Assemble through the compiled stamp plan: linear devices + gmin are
-  /// stamped once per solve into a cached baseline, each Newton iteration
-  /// restores the baseline with a memcpy and restamps only the nonlinear
-  /// devices, and all solver buffers live in a per-Engine workspace (no
-  /// per-iteration heap allocation). Off = the legacy full-restamp path,
-  /// kept for A/B validation. Both paths are bit-identical.
-  bool use_stamp_plan = true;
-  /// Replay the compiled sparse elimination schedule from the first full
-  /// factorization on later iterations/steps. Each step runs the exact
-  /// partial-pivot search restricted to the compiled candidate rows (the
-  /// only rows that can be nonzero in that column), so results stay
-  /// bit-identical to full pivoting; a pivot that moved or degraded past
-  /// `pivot_degradation` is simply re-recorded (the schedule is
-  /// pivot-robust). Only active with use_stamp_plan.
-  bool reuse_pivot_order = true;
-  /// A pivot whose magnitude drops below this fraction of its value at
-  /// freeze time counts as drift (re-recorded; see LuPlan).
-  double pivot_degradation = 1e-6;
 };
 
 /// Reusable per-Engine solver buffers: the Newton system, the cached
-/// linear baseline, the structural stamp pattern and the compiled LU
-/// plan. Sized lazily on first use and invalidated when the system size,
-/// analysis mode, or circuit plan version changes.
+/// linear baseline, the structural stamp pattern and the sparse LU plan.
+/// Sized lazily on first use and invalidated when the system size,
+/// analysis mode, or circuit plan version changes. After a solve, (a, b)
+/// hold the last assembled Newton system and x_new its solution.
 struct SolverWorkspace {
-  DenseMatrix a;              ///< working matrix, factored in place
+  DenseMatrix a;              ///< working matrix (the LU never writes it)
   DenseMatrix a_base;         ///< linear stamps + gmin baseline
   std::vector<double> b;      ///< working RHS
   std::vector<double> b_base; ///< linear-stamp RHS baseline
   std::vector<double> x_new;  ///< solve target / Newton update
-  std::vector<char> pattern;  ///< structural nonzeros (row-major flags)
+  /// Structural nonzeros: sorted flat row-major indices into a (empty
+  /// until the first solve records them).
+  std::vector<int> pattern;
   LuPlan plan;
   std::size_t size = 0;
   AnalysisMode mode = AnalysisMode::kDcOperatingPoint;
   std::uint64_t plan_version = 0;
-  bool pattern_valid = false;
 };
 
 struct TransientOptions {
@@ -137,35 +119,24 @@ class Engine {
   bool newton_solve(const SimContext& ctx, std::vector<double>& x,
                     const NewtonOptions& options, int* iterations_out);
 
-  /// Hot-path workspace for the given analysis mode (diagnostics:
-  /// compiled-plan inspection in tests). One workspace per mode so the
-  /// DC phase of every transient doesn't wipe the transient plan.
+  /// Solver workspace for the given analysis mode: the last Newton system
+  /// and its solution, for plan inspection in tests and the sparse-vs-
+  /// dense oracles. One workspace per mode so the DC phase of every
+  /// transient doesn't wipe the transient plan.
   const SolverWorkspace& workspace(
       AnalysisMode mode = AnalysisMode::kDcOperatingPoint) const {
     return workspaces_[static_cast<int>(mode)];
   }
 
  private:
-  /// Assemble A, b at iterate x (legacy full-restamp path). Stamp order —
-  /// linear devices, gmin, nonlinear devices — matches the stamp-plan
-  /// path exactly so both produce bit-identical matrices.
-  void assemble(const SimContext& ctx, const std::vector<double>& x,
-                DenseMatrix& a, std::vector<double>& b) const;
-
   /// Damped Newton update x += clamp(x_new - x); returns true when the
-  /// step is within tolerances (shared by both assembly paths).
+  /// step is within tolerances.
   bool apply_update(std::vector<double>& x, const std::vector<double>& x_new,
                     const NewtonOptions& options) const;
 
-  bool newton_solve_legacy(const SimContext& ctx, std::vector<double>& x,
-                           const NewtonOptions& options, int* iterations_out);
-
-  /// Stamp-plan assembly path (see NewtonOptions::use_stamp_plan).
-  bool newton_solve_plan(const SimContext& ctx, std::vector<double>& x,
-                         const NewtonOptions& options, int* iterations_out);
-
-  /// (Re)size workspace buffers and drop stale pattern/plan state.
-  void prepare_workspace(const SimContext& ctx);
+  /// (Re)size the mode's workspace buffers and drop stale pattern/plan
+  /// state.
+  SolverWorkspace& prepare_workspace(const SimContext& ctx);
 
   std::vector<double> initial_vector() const;
   std::vector<std::string> signal_names() const;

@@ -3,30 +3,28 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
+
+#include "trace/trace.hpp"
 
 namespace sfc::spice {
 
-template <typename T>
-double DenseMatrixT<T>::frobenius_norm() const {
-  double s = 0.0;
-  for (const T& v : data_) s += std::norm(v);
-  return std::sqrt(s);
-}
-
-template class DenseMatrixT<double>;
-template class DenseMatrixT<std::complex<double>>;
-
 namespace {
+
+/// Pivot floor shared by the dense and sparse factorizations.
+constexpr double kTinyPivot = 1e-300;
+/// Markowitz candidates must reach this fraction of their column maximum.
+constexpr double kPivotThreshold = 0.1;
+/// A replayed pivot below this fraction of its column maximum re-chooses
+/// the order. With 1e-3 the 8-32 cell MAC cycles re-order ~100 times per
+/// benchmark pass, need 8-37 % more Newton iterations and some fail to
+/// converge; with 1e-6 they never re-order.
+constexpr double kReorderThreshold = 1e-6;
 
 /// Shared real/complex LU factor-and-solve core: partial pivoting, in-place
 /// factorization, forward elimination of b fused into the sweep, back
-/// substitution. Optionally records the pivot sequence (`swap_with`, the
-/// row swapped into position k at step k) and the pivot magnitudes —
-/// LuPlan uses the recording to freeze and compile the pivot order.
+/// substitution.
 template <typename T>
-bool lu_core(DenseMatrixT<T>& a, std::vector<T>& b, int* swap_with,
-             double* pivot_mag_out) {
+bool lu_core(DenseMatrixT<T>& a, std::vector<T>& b) {
   const std::size_t n = a.rows();
   assert(a.cols() == n);
   assert(b.size() == n);
@@ -43,15 +41,13 @@ bool lu_core(DenseMatrixT<T>& a, std::vector<T>& b, int* swap_with,
         pivot_row = r;
       }
     }
-    if (pivot_mag < 1e-300) return false;
+    if (pivot_mag < kTinyPivot) return false;
     if (pivot_row != k) {
       for (std::size_t c = 0; c < n; ++c) {
         std::swap(a.at(k, c), a.at(pivot_row, c));
       }
       std::swap(b[k], b[pivot_row]);
     }
-    if (swap_with) swap_with[k] = static_cast<int>(pivot_row);
-    if (pivot_mag_out) pivot_mag_out[k] = pivot_mag;
     const T pivot = a.at(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
       const T factor = a.at(r, k) / pivot;
@@ -75,327 +71,210 @@ bool lu_core(DenseMatrixT<T>& a, std::vector<T>& b, int* swap_with,
 
 }  // namespace
 
-bool lu_solve(DenseMatrix& a, std::vector<double>& b) {
-  return lu_core(a, b, nullptr, nullptr);
-}
+bool lu_solve(DenseMatrix& a, std::vector<double>& b) { return lu_core(a, b); }
 
 bool lu_solve(ComplexMatrix& a, std::vector<std::complex<double>>& b) {
-  return lu_core(a, b, nullptr, nullptr);
+  return lu_core(a, b);
 }
 
-bool lu_solve_copy(const DenseMatrix& a, const std::vector<double>& b,
-                   std::vector<double>& x, DenseMatrix& scratch) {
-  scratch.copy_from(a);
-  x = b;
-  return lu_solve(scratch, x);
-}
-
-bool LuPlan::factor_and_compile(DenseMatrix& a, std::vector<double>& b,
-                                const std::vector<char>& pattern) {
+bool LuPlan::solve(const DenseMatrix& a, const std::vector<int>& pattern,
+                   std::vector<double>& x) {
   const std::size_t n = a.rows();
-  assert(pattern.size() == n * n);
-  reset();
-  swap_with_.assign(n, 0);
-  ref_pivot_mag_.assign(n, 0.0);
-  if (!lu_core(a, b, swap_with_.data(), ref_pivot_mag_.data())) return false;
-  pattern_.assign(pattern.begin(), pattern.end());
-  n_ = n;
-  kvals_.assign(n, 0.0);
-  forced_rows_.assign(n, {});
-  compile_schedule();
-  full_touch_ = true;  // lu_core wrote the whole matrix
-  return true;
-}
-
-void LuPlan::compile_schedule() {
-  // Symbolic elimination under the frozen order (swap_with_), widened
-  // over each pivot's interchange class: the candidate rows whose fill
-  // pattern equals the frozen pivot row's. Any class member swapped into
-  // the pivot position produces the same fill, so the only envelope
-  // growth needed for pivot-robustness is giving every class row the
-  // frozen pivot row's fill (the old diagonal row — pattern P_k — can
-  // land on any of them). This keeps fill at order-specific scale while
-  // making the ulp-level argmax flips between structurally symmetric CiM
-  // rows symbolic no-ops; a pivot leaving the class at solve time takes
-  // the (rare) dense-finish path instead.
-  const std::size_t n = n_;
-  p_work_.assign(pattern_.begin(), pattern_.end());
-  std::vector<char>& p = p_work_;
-  row_ptr_.assign(n + 1, 0);
-  col_ptr_.assign(n + 1, 0);
-  swap_ptr_.assign(n + 1, 0);
-  row_idx_.clear();
-  col_idx_.clear();
-  swap_idx_.clear();
-  class_flags_.clear();
-  diag_in_class_.assign(n, 0);
-  kpat_.assign(n, 0);
-  upat_.assign(n, 0);
-  t_work_.assign(pattern_.begin(), pattern_.end());
-  ops_ = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    // Candidate rows: structurally-possible nonzeros in column k.
-    const std::size_t row_begin = row_idx_.size();
-    for (std::size_t r = k + 1; r < n; ++r) {
-      if (p[r * n + k]) row_idx_.push_back(static_cast<int>(r));
-    }
-    char* krow = p.data() + k * n;
-    const auto sw = static_cast<std::size_t>(swap_with_[k]);
-    const std::size_t tail = n - (k + 1);
-    // Class pattern: the frozen pivot row's fill, unioned with any rows
-    // that once won the pivot search from outside the class (so the same
-    // flip never takes the dense-finish path twice).
-    const char* clsrow = p.data() + sw * n;
-    if (!forced_rows_[k].empty()) {
-      std::memcpy(upat_.data() + k + 1, clsrow + k + 1, tail);
-      for (const int fr : forced_rows_[k]) {
-        const auto r = static_cast<std::size_t>(fr);
-        if (r != k && !p[r * n + k]) continue;  // no longer a candidate
-        const char* rrow = p.data() + r * n;
-        for (std::size_t c = k + 1; c < n; ++c) upat_[c] |= rrow[c];
-      }
-      clsrow = upat_.data();
-    }
-    // Class membership: pattern right of the pivot column is a subset of
-    // the class pattern (a subset row swapped into the pivot position
-    // fills strictly less, so the schedule still covers it). Decide
-    // before mutating any pattern.
-    const auto is_subset = [&](const char* row) {
-      for (std::size_t c = k + 1; c < n; ++c) {
-        if (row[c] & ~clsrow[c]) return false;
-      }
-      return true;
-    };
-    diag_in_class_[k] = sw == k || is_subset(krow);
-    for (std::size_t ri = row_begin; ri < row_idx_.size(); ++ri) {
-      const char* rrow =
-          p.data() + static_cast<std::size_t>(row_idx_[ri]) * n;
-      class_flags_.push_back(is_subset(rrow));
-    }
-    // Envelope update. Row k takes the class pattern (whichever class
-    // member wins the pivot search has at most that pattern); class rows
-    // take P_k | class (one of them receives the swapped-out diagonal
-    // row); other candidates take ordinary frozen-order fill.
-    std::memcpy(kpat_.data() + k + 1, krow + k + 1, tail);
-    if (clsrow != krow) std::memcpy(krow + k + 1, clsrow + k + 1, tail);
-    for (std::size_t ri = row_begin; ri < row_idx_.size(); ++ri) {
-      char* rrow = p.data() + static_cast<std::size_t>(row_idx_[ri]) * n;
-      if (class_flags_[ri]) {
-        for (std::size_t c = k + 1; c < n; ++c) {
-          rrow[c] = static_cast<char>(kpat_[c] | krow[c]);
-        }
-      } else {
-        for (std::size_t c = k + 1; c < n; ++c) rrow[c] |= krow[c];
-      }
-    }
-    // Track every entry a scheduled solve can write: the evolving
-    // envelope rows plus the diagonal (hit by the column-k swap).
-    char* tk = t_work_.data() + k * n;
-    tk[k] = 1;
-    for (std::size_t c = k + 1; c < n; ++c) tk[c] |= krow[c];
-    for (std::size_t ri = row_begin; ri < row_idx_.size(); ++ri) {
-      const auto r = static_cast<std::size_t>(row_idx_[ri]);
-      char* tr = t_work_.data() + r * n;
-      const char* rrow = p.data() + r * n;
-      for (std::size_t c = k + 1; c < n; ++c) tr[c] |= rrow[c];
-    }
-    const std::size_t col_begin = col_idx_.size();
-    for (std::size_t c = k + 1; c < n; ++c) {
-      if (krow[c]) col_idx_.push_back(static_cast<int>(c));
-      if (krow[c] | kpat_[c]) swap_idx_.push_back(static_cast<int>(c));
-    }
-    ops_ += (row_idx_.size() - row_begin) * (col_idx_.size() - col_begin);
-    row_ptr_[k + 1] = static_cast<int>(row_idx_.size());
-    col_ptr_[k + 1] = static_cast<int>(col_idx_.size());
-    swap_ptr_[k + 1] = static_cast<int>(swap_idx_.size());
-  }
-  touched_.clear();
-  for (std::size_t idx = 0; idx < n * n; ++idx) {
-    if (t_work_[idx]) touched_.push_back(static_cast<int>(idx));
-  }
-}
-
-bool LuPlan::solve_frozen(DenseMatrix& a, std::vector<double>& b,
-                          double degradation) {
-  const std::size_t n = n_;
-  assert(valid());
-  assert(a.rows() == n && a.cols() == n && b.size() == n);
-
-  bool drifted = false;
-  for (std::size_t k = 0; k < n; ++k) {
-    // Exact partial-pivot search over the candidate rows. Rows outside the
-    // compiled candidate set hold exact zeros in column k, so this IS the
-    // full column scan of lu_core: increasing row order with a strict `>`
-    // (lowest row wins ties) — the numeric pivot choice is bit-identical
-    // to full pivoting by construction.
-    const int* rows = row_idx_.data() + row_ptr_[k];
-    const int nrows = row_ptr_[k + 1] - row_ptr_[k];
-    if (nrows == 0) {
-      // No structurally-possible pivot alternative and nothing below the
-      // diagonal to eliminate.
-      if (std::fabs(a.at(k, k)) < 1e-300) {
-        reset();
-        return false;
-      }
-      continue;
-    }
-    std::size_t pivot_row = k;
-    int pivot_ri = -1;  // index into rows[] when pivot_row != k
-    double pivot_mag = std::fabs(a.at(k, k));
-    for (int ri = 0; ri < nrows; ++ri) {
-      const auto r = static_cast<std::size_t>(rows[ri]);
-      const double m = std::fabs(a.at(r, k));
-      if (m > pivot_mag) {
-        pivot_mag = m;
-        pivot_row = r;
-        pivot_ri = ri;
-      }
-    }
-    if (pivot_mag < 1e-300) {
+  assert(a.cols() == n && x.size() == n);
+  if (!valid() || !factor(a)) {
+    if (valid()) ++refreezes_;
+    if (!choose_order(a, pattern) || !factor(a)) {
       reset();
       return false;
     }
-    if (pivot_row != static_cast<std::size_t>(swap_with_[k]) ||
-        pivot_mag < degradation * ref_pivot_mag_[k]) {
-      // Pivot drifted off the frozen order (near-tied rows trading places
-      // by ulps) or degraded. Inside the interchange class the compiled
-      // structure already covers the swap: re-record and carry on. A
-      // pivot outside the class changes the fill — finish densely from
-      // here (bit-identical: only structural zeros were skipped so far)
-      // and recompile around the new order.
-      const bool in_class = pivot_row == k
-                                ? diag_in_class_[k] != 0
-                                : class_flags_[static_cast<std::size_t>(
-                                      row_ptr_[k] + pivot_ri)] != 0;
-      if (pivot_row != static_cast<std::size_t>(swap_with_[k]) &&
-          !in_class) {
-        // Remember both flip partners so the recompile widens the class
-        // over them — a recurring flip between incomparable rows then
-        // stays on the compiled path.
-        std::vector<int>& forced = forced_rows_[k];
-        for (const int fr : {swap_with_[k], static_cast<int>(pivot_row)}) {
-          if (std::find(forced.begin(), forced.end(), fr) == forced.end()) {
-            forced.push_back(fr);
+  }
+
+  // Forward substitution with unit-lower L, back substitution with U, in
+  // step coordinates.
+  const double* v = vals_.data();
+  for (std::size_t k = 0; k < n; ++k) {
+    y_[k] = x[static_cast<std::size_t>(row_of_[k])];
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    const double yk = y_[k];
+    if (yk == 0.0) continue;
+    for (int p = start_[k] + 1; p < ustart_[k]; ++p) {
+      y_[static_cast<std::size_t>(idx_[p])] -= v[p] * yk;
+    }
+  }
+  for (std::size_t k = n; k-- > 0;) {
+    double sum = y_[k];
+    for (int p = ustart_[k]; p < start_[k + 1]; ++p) {
+      sum -= v[p] * y_[static_cast<std::size_t>(idx_[p])];
+    }
+    y_[k] = sum / v[start_[k]];
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    x[static_cast<std::size_t>(col_of_[k])] = y_[k];
+  }
+  return true;
+}
+
+bool LuPlan::factor(const DenseMatrix& a) {
+  std::fill(vals_.begin(), vals_.end(), 0.0);
+  const double* src = a.data();
+  for (const Gather& g : gather_) vals_[g.dst] = src[g.src];
+
+  double* v = vals_.data();
+  const int* dst = op_dst_.data();
+  for (std::size_t k = 0; k < n_; ++k) {
+    const int l0 = start_[k] + 1;
+    const int u0 = ustart_[k];
+    const int u1 = start_[k + 1];
+    const double pivot = v[start_[k]];
+    double col_max = std::fabs(pivot);
+    for (int p = l0; p < u0; ++p) col_max = std::max(col_max, std::fabs(v[p]));
+    const double mag = std::fabs(pivot);
+    // Negated so a NaN pivot also fails.
+    if (!(mag >= kReorderThreshold * col_max && mag >= kTinyPivot)) {
+      return false;
+    }
+    for (int p = l0; p < u0; ++p) {
+      const double l = v[p] / pivot;
+      v[p] = l;
+      if (l == 0.0) {
+        dst += u1 - u0;
+        continue;
+      }
+      for (int q = u0; q < u1; ++q) v[*dst++] -= l * v[q];
+    }
+  }
+  return true;
+}
+
+bool LuPlan::choose_order(const DenseMatrix& a,
+                          const std::vector<int>& pattern) {
+  SFC_TRACE_COUNT("spice.lu.factorizations", 1);
+  reset();
+  const std::size_t n = a.rows();
+  row_of_.assign(n, 0);
+  col_of_.assign(n, 0);
+
+  // Markowitz elimination on a dense scratch copy. `s` tracks structure:
+  // fill is recorded whenever it is possible, whatever its value, so the
+  // compiled schedule holds for every matrix with this pattern.
+  std::vector<char> s(n * n, 0);
+  {
+    std::vector<double> w(n * n, 0.0);
+    for (const int e : pattern) {
+      s[static_cast<std::size_t>(e)] = 1;
+      w[static_cast<std::size_t>(e)] = a.data()[e];
+    }
+    std::vector<std::size_t> rows(n), cols(n);  // active rows / columns
+    for (std::size_t i = 0; i < n; ++i) rows[i] = cols[i] = i;
+    std::vector<std::size_t> row_count(n), col_count(n);
+    std::vector<double> col_max(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      std::fill(row_count.begin(), row_count.end(), 0);
+      std::fill(col_count.begin(), col_count.end(), 0);
+      std::fill(col_max.begin(), col_max.end(), 0.0);
+      for (const std::size_t r : rows) {
+        for (const std::size_t c : cols) {
+          if (!s[r * n + c]) continue;
+          ++row_count[r];
+          ++col_count[c];
+          col_max[c] = std::max(col_max[c], std::fabs(w[r * n + c]));
+        }
+      }
+      // Lowest Markowitz cost; ties go to the entry largest relative to
+      // its column, then to the first found.
+      std::size_t best_r = 0, best_c = 0, best_ri = n, best_ci = n;
+      std::size_t best_cost = 0;
+      double best_ratio = 0.0;
+      for (std::size_t ri = 0; ri < rows.size(); ++ri) {
+        const std::size_t r = rows[ri];
+        for (std::size_t ci = 0; ci < cols.size(); ++ci) {
+          const std::size_t c = cols[ci];
+          if (!s[r * n + c]) continue;
+          const double mag = std::fabs(w[r * n + c]);
+          if (!(mag >= kPivotThreshold * col_max[c] && mag >= kTinyPivot)) {
+            continue;
+          }
+          const std::size_t cost = (row_count[r] - 1) * (col_count[c] - 1);
+          const double ratio = mag / col_max[c];
+          if (best_ri == n || cost < best_cost ||
+              (cost == best_cost && ratio > best_ratio)) {
+            best_r = r;
+            best_c = c;
+            best_ri = ri;
+            best_ci = ci;
+            best_cost = cost;
+            best_ratio = ratio;
           }
         }
-        return solve_dense_from(k, a, b);
       }
-      drifted = true;
-      swap_with_[k] = static_cast<int>(pivot_row);
-      ref_pivot_mag_[k] = pivot_mag;
-    }
-    if (pivot_row != k) {
-      // Exchange only the compiled swap columns — both rows hold exact
-      // zeros left of the diagonal and outside the class envelope.
-      double* krow_v = a.data() + k * n;
-      double* prow_v = a.data() + pivot_row * n;
-      std::swap(krow_v[k], prow_v[k]);
-      const int* scols = swap_idx_.data() + swap_ptr_[k];
-      const int nscols = swap_ptr_[k + 1] - swap_ptr_[k];
-      for (int ci = 0; ci < nscols; ++ci) {
-        const auto c = static_cast<std::size_t>(scols[ci]);
-        std::swap(krow_v[c], prow_v[c]);
+      if (best_ri == n) return false;  // no usable pivot left: singular
+      row_of_[k] = static_cast<int>(best_r);
+      col_of_[k] = static_cast<int>(best_c);
+      rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(best_ri));
+      cols.erase(cols.begin() + static_cast<std::ptrdiff_t>(best_ci));
+
+      const double* prow = w.data() + best_r * n;
+      const char* psrow = s.data() + best_r * n;
+      for (const std::size_t r : rows) {
+        if (!s[r * n + best_c]) continue;
+        const double f = w[r * n + best_c] / prow[best_c];
+        for (const std::size_t c : cols) {
+          if (!psrow[c]) continue;
+          s[r * n + c] = 1;
+          w[r * n + c] -= f * prow[c];
+        }
       }
-      std::swap(b[k], b[pivot_row]);
-    }
-    // Eliminate over the compiled schedule only. After the swap the old
-    // row k sits at `pivot_row`, which is in the candidate set, so every
-    // possibly-nonzero row below the diagonal is visited. The pivot row's
-    // compiled columns are gathered into a scratch first: rows[] never
-    // contains k, so the pivot row is loop-invariant, but the compiler
-    // cannot prove arow and krow do not alias.
-    const double pivot = a.at(k, k);
-    const double bk = b[k];
-    const int* cols = col_idx_.data() + col_ptr_[k];
-    const int ncols = col_ptr_[k + 1] - col_ptr_[k];
-    {
-      const double* krow = a.data() + k * n;
-      for (int ci = 0; ci < ncols; ++ci) {
-        kvals_[static_cast<std::size_t>(ci)] =
-            krow[static_cast<std::size_t>(cols[ci])];
-      }
-    }
-    for (int ri = 0; ri < nrows; ++ri) {
-      const auto r = static_cast<std::size_t>(rows[ri]);
-      const double ark = a.at(r, k);
-      if (ark == 0.0) continue;  // factor would be (+-)0: nothing to do
-      const double factor = ark / pivot;
-      a.at(r, k) = 0.0;
-      double* arow = a.data() + r * n;
-      for (int ci = 0; ci < ncols; ++ci) {
-        const auto c = static_cast<std::size_t>(cols[ci]);
-        arow[c] -= factor * kvals_[static_cast<std::size_t>(ci)];
-      }
-      b[r] -= factor * bk;
     }
   }
 
-  // Back substitution over the compiled U structure.
-  for (std::size_t ri = n; ri-- > 0;) {
-    double sum = b[ri];
-    const double* arow = a.data() + ri * n;
-    const int* cols = col_idx_.data() + col_ptr_[ri];
-    const int ncols = col_ptr_[ri + 1] - col_ptr_[ri];
-    for (int ci = 0; ci < ncols; ++ci) {
-      const auto c = static_cast<std::size_t>(cols[ci]);
-      sum -= arow[c] * b[c];
+  // Compile: lay the factors out per step and resolve every multiply-add
+  // target to its compact position.
+  std::vector<int> pos(n * n, -1);
+  start_.assign(n + 1, 0);
+  ustart_.assign(n, 0);
+  idx_.clear();
+  const auto at = [n](int r, int c) {
+    return static_cast<std::size_t>(r) * n + static_cast<std::size_t>(c);
+  };
+  for (std::size_t k = 0; k < n; ++k) {
+    const int pr = row_of_[k];
+    const int pc = col_of_[k];
+    start_[k] = static_cast<int>(idx_.size());
+    pos[at(pr, pc)] = start_[k];
+    idx_.push_back(static_cast<int>(k));
+    for (std::size_t i = k + 1; i < n; ++i) {
+      if (!s[at(row_of_[i], pc)]) continue;
+      pos[at(row_of_[i], pc)] = static_cast<int>(idx_.size());
+      idx_.push_back(static_cast<int>(i));
     }
-    b[ri] = sum / a.at(ri, ri);
+    ustart_[k] = static_cast<int>(idx_.size());
+    for (std::size_t j = k + 1; j < n; ++j) {
+      if (!s[at(pr, col_of_[j])]) continue;
+      pos[at(pr, col_of_[j])] = static_cast<int>(idx_.size());
+      idx_.push_back(static_cast<int>(j));
+    }
   }
+  start_[n] = static_cast<int>(idx_.size());
 
-  if (drifted) ++refreezes_;
-  full_touch_ = false;
-  return true;
-}
-
-bool LuPlan::solve_dense_from(std::size_t k0, DenseMatrix& a,
-                              std::vector<double>& b) {
-  // Continue with full partial pivoting. Entries the schedule skipped so
-  // far are exact structural zeros, so the matrix holds bit-identical
-  // values to a dense factorization at step k0 and the tail below matches
-  // lu_core exactly.
-  const std::size_t n = n_;
-  for (std::size_t k = k0; k < n; ++k) {
-    std::size_t pivot_row = k;
-    double pivot_mag = std::fabs(a.at(k, k));
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double m = std::fabs(a.at(r, k));
-      if (m > pivot_mag) {
-        pivot_mag = m;
-        pivot_row = r;
+  gather_.clear();
+  for (const int e : pattern) {
+    gather_.push_back({e, pos[static_cast<std::size_t>(e)]});
+  }
+  op_dst_.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    for (int p = start_[k] + 1; p < ustart_[k]; ++p) {
+      const int r = row_of_[static_cast<std::size_t>(idx_[p])];
+      for (int q = ustart_[k]; q < start_[k + 1]; ++q) {
+        const int c = col_of_[static_cast<std::size_t>(idx_[q])];
+        assert(pos[at(r, c)] >= 0 && "symbolic fill missed an update");
+        op_dst_.push_back(pos[at(r, c)]);
       }
-    }
-    if (pivot_mag < 1e-300) {
-      reset();
-      return false;
-    }
-    if (pivot_row != k) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(a.at(k, c), a.at(pivot_row, c));
-      }
-      std::swap(b[k], b[pivot_row]);
-    }
-    swap_with_[k] = static_cast<int>(pivot_row);
-    ref_pivot_mag_[k] = pivot_mag;
-    const double pivot = a.at(k, k);
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double factor = a.at(r, k) / pivot;
-      if (factor == 0.0) continue;
-      a.at(r, k) = 0.0;
-      for (std::size_t c = k + 1; c < n; ++c) {
-        a.at(r, c) -= factor * a.at(k, c);
-      }
-      b[r] -= factor * b[k];
     }
   }
-  for (std::size_t ri = n; ri-- > 0;) {
-    double sum = b[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) sum -= a.at(ri, c) * b[c];
-    b[ri] = sum / a.at(ri, ri);
-  }
-  ++refreezes_;
-  compile_schedule();
-  full_touch_ = true;  // the dense tail wrote outside the schedule
+  vals_.assign(idx_.size(), 0.0);
+  y_.assign(n, 0.0);
+  n_ = n;
   return true;
 }
 

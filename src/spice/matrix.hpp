@@ -1,11 +1,12 @@
-// Dense linear algebra for the MNA system. CiM cell/array circuits have
-// tens of nodes, so a dense LU with partial pivoting is both simpler and
-// faster than a sparse solver at this scale. The Newton hot path goes one
-// step further: LuPlan freezes the pivot order chosen on the first
-// iteration of a solve and compiles the structural sparsity of the MNA
-// matrix into an elimination schedule, so refactoring the (mostly
-// unchanged) Jacobian skips the pivot search and all structurally-zero
-// work.
+// Linear algebra for the MNA system. The Newton hot path solves with
+// LuPlan, a static-pivot sparse LU in the SPICE3 / Sparse 1.3 style: a
+// Markowitz pivot order chosen once under threshold partial pivoting, a
+// compiled symbolic elimination (fill included) for that order, and one
+// numeric refactorization per Newton iteration that reuses the pivots.
+// CiM rows are stars of near-identical cells around a few shared rails,
+// so a sparsity-driven order keeps fill linear in the row width where a
+// magnitude-driven dense order makes it cubic. Dense LU with partial
+// pivoting stays as the reference solver and for the complex AC system.
 #pragma once
 
 #include <complex>
@@ -35,19 +36,8 @@ class DenseMatrixT {
 
   void set_zero() { std::fill(data_.begin(), data_.end(), T{}); }
 
-  /// Bitwise copy of `other`'s contents; reuses this matrix's storage when
-  /// the shapes already match (the Newton baseline-restore path).
-  void copy_from(const DenseMatrixT& other) {
-    rows_ = other.rows_;
-    cols_ = other.cols_;
-    data_.assign(other.data_.begin(), other.data_.end());
-  }
-
   T* data() { return data_.data(); }
   const T* data() const { return data_.data(); }
-
-  /// Frobenius norm, used in conditioning diagnostics.
-  double frobenius_norm() const;
 
  private:
   std::size_t rows_ = 0;
@@ -65,117 +55,65 @@ bool lu_solve(DenseMatrix& a, std::vector<double>& b);
 /// Complex LU with partial pivoting; A and b are overwritten.
 bool lu_solve(ComplexMatrix& a, std::vector<std::complex<double>>& b);
 
-/// Solve keeping A/b intact; x receives the solution. `scratch` is the
-/// factorization buffer: passing the same matrix across calls avoids one
-/// matrix allocation per solve (it is resized on shape mismatch).
-bool lu_solve_copy(const DenseMatrix& a, const std::vector<double>& b,
-                   std::vector<double>& x, DenseMatrix& scratch);
-
-/// Compiled frozen-pivot LU. One full partial-pivot factorization records
-/// the pivot order and, combined with the structural nonzero pattern of
-/// the unfactored matrix, compiles a sparse elimination schedule with
-/// fill-in. At every step the symbolic analysis also identifies the
-/// pivot's *interchange class* — candidate rows whose fill pattern equals
-/// the frozen pivot row's — and widens the envelope so any class member
-/// can be swapped in without changing the compiled structure. Newton
-/// iterates make near-tied pivots (structurally symmetric rows in CiM
-/// arrays) trade places by ulps between solves; those flips stay inside
-/// the class and cost nothing. solve_frozen() performs the exact lu_core
-/// pivot search (restricted to the candidate rows, the only ones that can
-/// be nonzero in the column), so every solve is bit-identical to
-/// lu_solve(); a pivot that leaves the class — a genuine structural
-/// change — finishes the solve densely and recompiles.
+/// Static-pivot sparse LU. The first solve() picks a pivot order by
+/// Markowitz cost among entries at least 0.1 x their column maximum
+/// (threshold partial pivoting), compiles the symbolic elimination for
+/// that order — fill included — and every later solve() refactors with
+/// those pivots. The order is re-chosen only when a replayed pivot falls
+/// below 1e-6 x its column maximum (see refreeze_count()). Factors are
+/// stored compactly at pattern-plus-fill positions and the input matrix is
+/// never written. Results agree with lu_solve() to rounding, not bitwise;
+/// a given sequence of inputs always produces the same bits.
 class LuPlan {
  public:
   bool valid() const { return n_ > 0; }
   void reset() { n_ = 0; }
-  std::size_t size() const { return n_; }
 
-  /// Factor-and-solve (a, b) in place with full partial pivoting —
-  /// bit-identical to lu_solve() — then freeze the pivot order and compile
-  /// the elimination schedule from `pattern`, the row-major structural
-  /// nonzero flags (size n*n) of the *unfactored* matrix. Entries outside
-  /// the pattern must be exactly zero in every matrix later passed to
-  /// solve_frozen(). Returns false (plan left invalid) when the matrix is
-  /// numerically singular.
-  bool factor_and_compile(DenseMatrix& a, std::vector<double>& b,
-                          const std::vector<char>& pattern);
-
-  /// Factor-and-solve visiting only the compiled schedule. Each step runs
-  /// the exact partial-pivot search of lu_solve() restricted to the
-  /// compiled candidate rows (the only rows that can be nonzero in the
-  /// pivot column), so the numeric result is bit-identical to lu_solve()
-  /// by construction. A winning pivot that differs from the frozen order
-  /// but stays in the interchange class (or merely degraded past
-  /// `degradation` times its freeze-time magnitude) is re-recorded in
-  /// place at no cost; one that leaves the class finishes the solve with
-  /// dense elimination from that step — still bit-identical — and
-  /// recompiles the schedule around the new order (see refreeze_count()).
-  /// Returns false (plan invalidated) only when the matrix is numerically
+  /// Solve A x = b; `x` holds b on entry and the solution on return.
+  /// `pattern` lists the flat row-major indices of every entry of A that
+  /// can be nonzero; entries outside it must be exactly zero in every
+  /// matrix solved with this plan. It is read only when an order is
+  /// chosen. Returns false (plan invalidated) when A is numerically
   /// singular.
-  bool solve_frozen(DenseMatrix& a, std::vector<double>& b,
-                    double degradation);
+  bool solve(const DenseMatrix& a, const std::vector<int>& pattern,
+             std::vector<double>& x);
 
-  /// Inner multiply-add updates the compiled schedule performs per
-  /// factorization (diagnostics; dense elimination does ~n^3/3).
-  std::size_t compiled_ops() const { return ops_; }
+  /// Multiply-adds of one numeric factorization under the current order
+  /// (dense elimination does ~n^3/3).
+  std::size_t compiled_ops() const { return op_dst_.size(); }
 
-  /// Solves (since construction) whose pivot search drifted off the
-  /// frozen order (or hit the degradation threshold) and re-recorded it.
-  /// In-class drift is free; a steadily rising count alongside slow
-  /// solves means pivots keep leaving their interchange class.
+  /// Solves (since construction) that re-chose the order because a
+  /// replayed pivot vanished relative to its column.
   std::size_t refreeze_count() const { return refreezes_; }
 
-  /// Flat row-major indices of every matrix entry a scheduled
-  /// solve_frozen() can write (envelope fill, swap columns, diagonals).
-  /// A caller restoring the matrix between solves only needs to reset
-  /// these — unless last_factor_full() says the previous factorization
-  /// was a full dense one (fresh factor_and_compile() or a dense-finish
-  /// fallback), which may have written anywhere.
-  const std::vector<int>& touched_indices() const { return touched_; }
-  bool last_factor_full() const { return full_touch_; }
-
  private:
-  /// Build the elimination schedule from pattern_ under swap_with_,
-  /// widening each step's envelope over the pivot's interchange class.
-  void compile_schedule();
+  /// Markowitz search plus symbolic elimination; false when singular.
+  bool choose_order(const DenseMatrix& a, const std::vector<int>& pattern);
+  /// Numeric refactorization under the compiled order; false when a pivot
+  /// fails the replay threshold.
+  bool factor(const DenseMatrix& a);
 
-  /// Finish a solve with dense partial-pivot elimination from step k
-  /// (values up to k are bit-identical to lu_core's), re-recording the
-  /// order and recompiling. Returns false only on a singular matrix.
-  bool solve_dense_from(std::size_t k, DenseMatrix& a,
-                        std::vector<double>& b);
+  struct Gather {
+    int src;  ///< flat index into the dense input
+    int dst;  ///< position in vals_
+  };
 
   std::size_t n_ = 0;
-  std::size_t ops_ = 0;
   std::size_t refreezes_ = 0;
-  std::vector<int> swap_with_;         ///< per step k: row swapped into k
-  std::vector<double> ref_pivot_mag_;  ///< |pivot k| at freeze time
-  std::vector<char> pattern_;          ///< unfactored structural nonzeros
-  std::vector<char> p_work_;           ///< symbolic-elimination scratch
-  std::vector<char> kpat_;             ///< scratch: diag row pattern
-  std::vector<char> upat_;             ///< scratch: class union pattern
-  std::vector<char> t_work_;           ///< scratch: touched-entry flags
-  std::vector<double> kvals_;          ///< scratch: pivot-row gather
-  std::vector<int> touched_;           ///< see touched_indices()
-  bool full_touch_ = true;             ///< see last_factor_full()
-  std::vector<char> class_flags_;      ///< per row_idx_ entry: in class?
-  std::vector<char> diag_in_class_;    ///< per step: diag row in class?
-  /// Rows that once won the pivot search at a step from outside the
-  /// class (per step, original row indices). compile_schedule unions
-  /// them into the class so the same flip never falls back twice.
-  std::vector<std::vector<int>> forced_rows_;
-  // Elimination schedule, CSR-style: rows below / columns right of each
-  // diagonal that can hold a nonzero (fill-in included).
-  std::vector<int> row_idx_;
-  std::vector<int> row_ptr_;
-  std::vector<int> col_idx_;
-  std::vector<int> col_ptr_;
-  // Columns to exchange on a row swap at each step: the union of the
-  // diagonal row's and the class rows' envelopes (everything else is an
-  // exact zero in both rows).
-  std::vector<int> swap_idx_;
-  std::vector<int> swap_ptr_;
+  std::vector<int> row_of_;  ///< step k -> original row of its pivot
+  std::vector<int> col_of_;  ///< step k -> original column of its pivot
+  // Compact factors, one block per step k: the pivot at start_[k], the L
+  // column below it up to ustart_[k], then the U row up to start_[k + 1].
+  // idx_ holds each entry's step coordinate (row step for L, column step
+  // for U).
+  std::vector<int> start_;
+  std::vector<int> ustart_;
+  std::vector<int> idx_;
+  std::vector<double> vals_;
+  std::vector<Gather> gather_;  ///< pattern entries -> vals_
+  /// Target of every multiply-add, in elimination order (fill included).
+  std::vector<int> op_dst_;
+  std::vector<double> y_;  ///< permuted right-hand side scratch
 };
 
 }  // namespace sfc::spice

@@ -3,8 +3,11 @@
 // the first diverging signal/time-step.
 //
 // Built-in oracle pairs (see oracle_cases()):
-//   * stampplan_vs_legacy_dc / _transient — the compiled stamp-plan Newton
-//     path against the legacy full-restamp assembler (bit-exact contract);
+//   * sparse_vs_dense_dc / _transient — the engine's sparse LU solution of
+//     its final Newton systems against dense partial-pivot lu_solve
+//     (per component within 1e-9 abs + 1e-6 rel, residual <= 1e-12 x
+//     ||b||_inf); the DC arm also re-stamps every device at the converged
+//     point and checks that a dense solve reproduces it;
 //   * spice_vs_behavioral — the SPICE-level CiM row against the calibrated
 //     cim/behavioral lookup model (exact at calibration grid temperatures,
 //     bounded interpolation error in between);
@@ -65,8 +68,8 @@ struct OracleCase {
 const std::vector<OracleCase>& oracle_cases();
 
 // Individual oracles (also reachable through the registry).
-OracleReport oracle_stampplan_vs_legacy_dc();
-OracleReport oracle_stampplan_vs_legacy_transient();
+OracleReport oracle_sparse_vs_dense_dc();
+OracleReport oracle_sparse_vs_dense_transient();
 OracleReport oracle_spice_vs_behavioral();
 OracleReport oracle_serial_vs_parallel_montecarlo(int threads = 4);
 

@@ -1,12 +1,16 @@
-// Solver hot-path validation: the compiled stamp-plan assembly and the
-// frozen-pivot LU must be *bit-identical* to the legacy full-restamp /
-// full-pivot path — not tolerance-close — on the paper's circuits, and
-// the steady-state Newton loop must not touch the heap. Trace-counter
-// (TestProbe) assertions cross-check the engine's self-reported iteration
-// totals against the instrumentation; they compile out with SFC_TRACE=OFF.
+// Solver hot-path validation. The static-pivot sparse LU must agree with
+// dense partial pivoting within the sparse-vs-dense oracle tolerance,
+// re-choose its pivot order when a replayed pivot vanishes, and keep fill
+// linear in the row width; Newton results must repeat bitwise run to run
+// and at any thread count; and the steady-state Newton loop must not touch
+// the heap. Trace-counter (TestProbe) assertions cross-check the engine's
+// self-reported iteration totals against the instrumentation; they compile
+// out with SFC_TRACE=OFF.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -20,6 +24,7 @@
 #include "spice/primitives.hpp"
 #include "spice/sweep.hpp"
 #include "trace/trace.hpp"
+#include "util/rng.hpp"
 
 // ---------------------------------------------------------------------
 // Global allocation counter. Only the delta between snapshots matters;
@@ -80,21 +85,8 @@ void expect_transients_bitwise_equal(const TransientResult& a,
   }
 }
 
-NewtonOptions legacy_options() {
-  NewtonOptions o;
-  o.use_stamp_plan = false;
-  return o;
-}
-
-NewtonOptions hot_options(bool reuse_pivots = true) {
-  NewtonOptions o;
-  o.use_stamp_plan = true;
-  o.reuse_pivot_order = reuse_pivots;
-  return o;
-}
-
 // ---------------------------------------------------------------------
-// Fig. 7 cell: DC operating point, legacy vs stamp plan.
+// Fig. 7 cell: DC operating point, repeated on a fresh engine.
 // ---------------------------------------------------------------------
 
 TEST(SolverHotPath, Fig7CellDcBitIdentical) {
@@ -103,102 +95,73 @@ TEST(SolverHotPath, Fig7CellDcBitIdentical) {
   cim::CiMRow row(cfg);
   row.set_stored({1});
 
-  Engine legacy_engine(row.circuit(), 27.0);
+  Engine ref_engine(row.circuit(), 27.0);
 #if SFC_TRACE_ENABLED
-  sfc::trace::TestProbe legacy_probe;
+  sfc::trace::TestProbe probe;
 #endif
-  const DcResult ref = legacy_engine.dc_operating_point(legacy_options());
+  const DcResult ref = ref_engine.dc_operating_point();
   ASSERT_TRUE(ref.converged);
 #if SFC_TRACE_ENABLED
   // The instrumentation and the engine's self-report must agree.
-  EXPECT_EQ(legacy_probe.counter_delta("spice.dc.solves"), 1u);
-  EXPECT_EQ(legacy_probe.counter_delta("spice.newton.iterations"),
+  EXPECT_EQ(probe.counter_delta("spice.dc.solves"), 1u);
+  EXPECT_EQ(probe.counter_delta("spice.newton.iterations"),
             static_cast<std::uint64_t>(ref.iterations));
-  EXPECT_GT(legacy_probe.counter_delta("spice.lu.dense_solves"), 0u);
-  EXPECT_EQ(legacy_probe.counter_delta("spice.stampplan.compiles"), 0u);
+  EXPECT_GT(probe.counter_delta("spice.stampplan.compiles"), 0u);
+  EXPECT_EQ(probe.counter_delta("spice.lu.factorizations"), 1u);
 #endif
 
-  for (const bool reuse : {false, true}) {
-    Engine hot_engine(row.circuit(), 27.0);
-#if SFC_TRACE_ENABLED
-    sfc::trace::TestProbe hot_probe;
-#endif
-    const DcResult hot = hot_engine.dc_operating_point(hot_options(reuse));
-    ASSERT_TRUE(hot.converged);
-    EXPECT_EQ(hot.iterations, ref.iterations) << "reuse=" << reuse;
-    EXPECT_TRUE(bits_equal(hot.gmin_used, ref.gmin_used));
-    expect_vectors_bitwise_equal(hot.x, ref.x,
-                                 reuse ? "x (frozen pivots)" : "x");
-#if SFC_TRACE_ENABLED
-    EXPECT_EQ(hot_probe.counter_delta("spice.newton.iterations"),
-              static_cast<std::uint64_t>(hot.iterations));
-    EXPECT_GT(hot_probe.counter_delta("spice.stampplan.compiles"), 0u);
-    if (reuse) {
-      EXPECT_GT(hot_probe.counter_delta("spice.lu.frozen_solves"), 0u);
-      EXPECT_EQ(hot_probe.counter_delta("spice.lu.dense_solves"), 0u);
-    } else {
-      EXPECT_GT(hot_probe.counter_delta("spice.lu.dense_solves"), 0u);
-      EXPECT_EQ(hot_probe.counter_delta("spice.lu.frozen_solves"), 0u);
-    }
-#endif
-  }
+  Engine engine(row.circuit(), 27.0);
+  const DcResult again = engine.dc_operating_point();
+  ASSERT_TRUE(again.converged);
+  EXPECT_EQ(again.iterations, ref.iterations);
+  EXPECT_TRUE(bits_equal(again.gmin_used, ref.gmin_used));
+  expect_vectors_bitwise_equal(again.x, ref.x, "x");
 }
 
 // ---------------------------------------------------------------------
-// Fig. 8 row: full 8-cell MAC transient, legacy vs stamp plan. This is
-// the benchmark workload, so bit-identity here directly validates the
-// numbers in BENCH_solver.json.
+// Fig. 8 row: one full 8-cell MAC transient, run twice on fresh rows.
+// This is the benchmark workload, so the repeat validates the
+// determinism BENCH_solver.json's `repeatable` flag reports.
 // ---------------------------------------------------------------------
 
 TEST(SolverHotPath, Fig8RowTransientBitIdentical) {
-  cim::ArrayConfig legacy_cfg = cim::ArrayConfig::proposed_2t1fefet();
-  legacy_cfg.newton.use_stamp_plan = false;
-  cim::ArrayConfig hot_cfg = cim::ArrayConfig::proposed_2t1fefet();
-  hot_cfg.newton.use_stamp_plan = true;
-
+  const cim::ArrayConfig cfg = cim::ArrayConfig::proposed_2t1fefet();
   const std::vector<int> stored = {1, 0, 1, 1, 0, 1, 0, 1};
   const std::vector<int> inputs = {1, 1, 0, 1, 0, 1, 1, 0};
 
-  cim::CiMRow legacy_row(legacy_cfg);
-  legacy_row.set_stored(stored);
+  cim::CiMRow ref_row(cfg);
+  ref_row.set_stored(stored);
 #if SFC_TRACE_ENABLED
-  sfc::trace::TestProbe legacy_probe;
+  sfc::trace::TestProbe probe;
 #endif
   const cim::MacResult ref =
-      legacy_row.evaluate(inputs, 27.0, /*keep_waveforms=*/true);
+      ref_row.evaluate(inputs, 27.0, /*keep_waveforms=*/true);
   ASSERT_TRUE(ref.converged);
-
-  cim::CiMRow hot_row(hot_cfg);
-  hot_row.set_stored(stored);
 #if SFC_TRACE_ENABLED
   // Every Newton iteration the MAC transient reports must have passed
   // through the instrumented wrapper — exact, not approximate.
-  EXPECT_EQ(legacy_probe.counter_delta("spice.newton.iterations"),
+  EXPECT_EQ(probe.counter_delta("spice.newton.iterations"),
             static_cast<std::uint64_t>(ref.newton_iterations));
-  sfc::trace::TestProbe hot_probe;
-#endif
-  const cim::MacResult hot =
-      hot_row.evaluate(inputs, 27.0, /*keep_waveforms=*/true);
-  ASSERT_TRUE(hot.converged);
-#if SFC_TRACE_ENABLED
-  EXPECT_EQ(hot_probe.counter_delta("spice.newton.iterations"),
-            static_cast<std::uint64_t>(hot.newton_iterations));
-  EXPECT_GT(hot_probe.counter_delta("spice.lu.frozen_solves"), 0u);
   // Exactly one histogram record per accepted step, by construction.
-  EXPECT_EQ(hot_probe.histogram_delta("spice.tran.newton_iterations_per_step"),
-            hot_probe.counter_delta("spice.tran.steps_accepted"));
-  EXPECT_GT(hot_probe.counter_delta("spice.tran.steps_accepted"), 0u);
+  EXPECT_EQ(probe.histogram_delta("spice.tran.newton_iterations_per_step"),
+            probe.counter_delta("spice.tran.steps_accepted"));
+  EXPECT_GT(probe.counter_delta("spice.tran.steps_accepted"), 0u);
   // No step on this workload fights Newton past the 16-iteration band.
-  EXPECT_EQ(hot_probe.histogram_delta_above(
+  EXPECT_EQ(probe.histogram_delta_above(
                 "spice.tran.newton_iterations_per_step", 16.0),
             0u);
 #endif
 
-  EXPECT_TRUE(bits_equal(hot.v_acc, ref.v_acc));
-  EXPECT_TRUE(bits_equal(hot.energy_joules, ref.energy_joules));
-  EXPECT_EQ(hot.newton_iterations, ref.newton_iterations);
-  expect_vectors_bitwise_equal(hot.v_cell, ref.v_cell, "v_cell");
-  expect_transients_bitwise_equal(hot.waveforms, ref.waveforms);
+  cim::CiMRow row(cfg);
+  row.set_stored(stored);
+  const cim::MacResult again =
+      row.evaluate(inputs, 27.0, /*keep_waveforms=*/true);
+  ASSERT_TRUE(again.converged);
+  EXPECT_TRUE(bits_equal(again.v_acc, ref.v_acc));
+  EXPECT_TRUE(bits_equal(again.energy_joules, ref.energy_joules));
+  EXPECT_EQ(again.newton_iterations, ref.newton_iterations);
+  expect_vectors_bitwise_equal(again.v_cell, ref.v_cell, "v_cell");
+  expect_transients_bitwise_equal(again.waveforms, ref.waveforms);
 }
 
 // ---------------------------------------------------------------------
@@ -219,26 +182,25 @@ D1 mid 0 is=1e-15
 .tran 0.05n 6n
 )";
 
-  auto run = [&deck](bool use_stamp_plan) {
+  auto run = [&deck]() {
     Circuit ckt;
     const NetlistDeck d = parse_netlist(deck, ckt);
     Engine engine(ckt, 27.0);
     TransientOptions opts;
     opts.dt = d.tran.at(0).dt;
-    opts.newton.use_stamp_plan = use_stamp_plan;
     return engine.transient(d.tran.at(0).t_stop, opts);
   };
 
-  const TransientResult ref = run(false);
+  const TransientResult ref = run();
   ASSERT_TRUE(ref.converged);
-  const TransientResult hot = run(true);
-  expect_transients_bitwise_equal(hot, ref);
-  EXPECT_EQ(hot.total_newton_iterations, ref.total_newton_iterations);
+  const TransientResult again = run();
+  expect_transients_bitwise_equal(again, ref);
+  EXPECT_EQ(again.total_newton_iterations, ref.total_newton_iterations);
 }
 
 // ---------------------------------------------------------------------
 // Thread-count independence: a temperature sweep must be bit-identical
-// across assembly paths AND across ExecPolicy thread counts.
+// across ExecPolicy thread counts and from one run to the next.
 // ---------------------------------------------------------------------
 
 TEST(SolverHotPath, TemperatureSweepBitIdenticalAt1And8Threads) {
@@ -250,8 +212,7 @@ TEST(SolverHotPath, TemperatureSweepBitIdenticalAt1And8Threads) {
   SweepSpec spec;
   spec.values = linspace_count(-25.0, 100.0, 6);  // temperature sweep
 
-  auto run = [&](bool use_stamp_plan, int threads) {
-    spec.options = use_stamp_plan ? hot_options() : legacy_options();
+  auto run = [&](int threads) {
     sfc::exec::ExecPolicy exec;
     exec.threads = threads;
     return run_sweep(row.circuit(), spec, exec);
@@ -260,7 +221,7 @@ TEST(SolverHotPath, TemperatureSweepBitIdenticalAt1And8Threads) {
 #if SFC_TRACE_ENABLED
   sfc::trace::TestProbe ref_probe;
 #endif
-  const auto ref = run(false, 1);
+  const auto ref = run(1);
   ASSERT_EQ(ref.size(), spec.values.size());
   for (const auto& p : ref) ASSERT_TRUE(p.op.converged);
 #if SFC_TRACE_ENABLED
@@ -273,37 +234,36 @@ TEST(SolverHotPath, TemperatureSweepBitIdenticalAt1And8Threads) {
             spec.values.size());
 #endif
 
-  struct Case {
-    bool hot;
-    int threads;
-  };
-  for (const Case c : {Case{false, 8}, Case{true, 1}, Case{true, 8}}) {
+  for (const int threads : {8, 1}) {
 #if SFC_TRACE_ENABLED
     sfc::trace::TestProbe case_probe;
 #endif
-    const auto pts = run(c.hot, c.threads);
+    const auto pts = run(threads);
     ASSERT_EQ(pts.size(), ref.size());
 #if SFC_TRACE_ENABLED
-    // Bit-identical solves imply identical iteration counts — for both
-    // assembly paths and regardless of the thread count.
+    // Bit-identical solves imply identical iteration counts.
     EXPECT_EQ(case_probe.counter_delta("spice.newton.iterations"),
               ref_iterations)
-        << "hot=" << c.hot << " threads=" << c.threads;
+        << "threads=" << threads;
 #endif
     for (std::size_t i = 0; i < pts.size(); ++i) {
       expect_vectors_bitwise_equal(
           pts[i].op.x, ref[i].op.x,
-          "sweep point " + std::to_string(i) + " (hot=" +
-              std::to_string(c.hot) + ", threads=" +
-              std::to_string(c.threads) + ")");
+          "sweep point " + std::to_string(i) + " (threads=" +
+              std::to_string(threads) + ")");
     }
   }
 }
 
 // ---------------------------------------------------------------------
-// LuPlan: frozen-pivot replay vs dense full pivoting, and the fallback
-// triggers (argmax moved / pivot degraded) on ill-conditioned updates.
+// LuPlan: sparse solves vs dense partial pivoting, static pivots under
+// replay, re-ordering on a vanishing pivot, singularity, and fill.
 // ---------------------------------------------------------------------
+
+// The sparse_vs_dense oracle tolerance: |sparse - dense| <= abs + rel *
+// |sparse| per component.
+constexpr double kTolAbs = 1e-9;
+constexpr double kTolRel = 1e-6;
 
 DenseMatrix matrix_from(const std::vector<std::vector<double>>& rows) {
   DenseMatrix m(rows.size(), rows.size());
@@ -313,204 +273,210 @@ DenseMatrix matrix_from(const std::vector<std::vector<double>>& rows) {
   return m;
 }
 
-std::vector<char> pattern_of(const DenseMatrix& m) {
-  std::vector<char> pattern(m.rows() * m.cols(), 0);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      pattern[r * m.cols() + c] = m.at(r, c) != 0.0 ? 1 : 0;
-    }
+std::vector<int> pattern_of(const DenseMatrix& m) {
+  std::vector<int> pattern;
+  for (std::size_t i = 0; i < m.rows() * m.cols(); ++i) {
+    if (m.data()[i] != 0.0) pattern.push_back(static_cast<int>(i));
   }
   return pattern;
 }
 
-TEST(LuPlanFallback, FrozenSolveMatchesDenseBitwise) {
-  // Asymmetric system with an off-diagonal pivot (row 2 wins column 0)
-  // and a structural zero block, so the compiled schedule is a strict
-  // subset of the dense loop.
-  const std::vector<std::vector<double>> base = {
-      {1.0, 2.0, 0.0},
-      {0.5, 1e-3, 4.0},
-      {3.0, 0.0, 1.0},
-  };
-  const std::vector<double> rhs = {1.0, -2.0, 0.5};
-
-  DenseMatrix a0 = matrix_from(base);
-  const std::vector<char> pattern = pattern_of(a0);
-  std::vector<double> b0 = rhs;
-
-  LuPlan plan;
-  ASSERT_TRUE(plan.factor_and_compile(a0, b0, pattern));
-  ASSERT_TRUE(plan.valid());
-  EXPECT_GT(plan.compiled_ops(), 0u);
-
-  DenseMatrix dense = matrix_from(base);
-  std::vector<double> b_dense = rhs;
-  ASSERT_TRUE(lu_solve(dense, b_dense));
-  expect_vectors_bitwise_equal(b0, b_dense, "factor_and_compile solution");
-
-  // Same structure, perturbed values that keep the pivot order: the
-  // frozen solve must complete without a refreeze and match the dense
-  // solve bit for bit.
-  std::vector<std::vector<double>> perturbed = base;
-  perturbed[0][0] = 1.25;
-  perturbed[1][2] = 3.5;
-  perturbed[2][0] = 2.75;
-  DenseMatrix a1 = matrix_from(perturbed);
-  std::vector<double> b1 = rhs;
-  ASSERT_TRUE(plan.solve_frozen(a1, b1, 1e-6));
-  EXPECT_EQ(plan.refreeze_count(), 0u);
-
-  DenseMatrix dense1 = matrix_from(perturbed);
-  std::vector<double> b_dense1 = rhs;
-  ASSERT_TRUE(lu_solve(dense1, b_dense1));
-  expect_vectors_bitwise_equal(b1, b_dense1, "solve_frozen solution");
+/// Sparse-solve (a, b) with `plan` and hold the result to a dense solve.
+void expect_plan_matches_dense(LuPlan& plan, const DenseMatrix& a,
+                               const std::vector<int>& pattern,
+                               const std::vector<double>& b,
+                               const std::string& what) {
+  std::vector<double> x = b;
+  ASSERT_TRUE(plan.solve(a, pattern, x)) << what;
+  DenseMatrix dense = a;
+  std::vector<double> x_dense = b;
+  ASSERT_TRUE(lu_solve(dense, x_dense)) << what;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_NEAR(x[i], x_dense[i], kTolAbs + kTolRel * std::fabs(x[i]))
+        << what << " component " << i;
+  }
 }
 
-TEST(LuPlanFallback, ArgmaxChangeRefreezesAndStaysBitIdentical) {
-  const std::vector<std::vector<double>> base = {
-      {1.0, 2.0, 0.0},
-      {0.5, 1e-3, 4.0},
-      {3.0, 0.0, 1.0},
+/// Random MNA-like system: a connected resistor network whose conductances
+/// span decades, gmin to ground, grounded voltage sources (aux rows with a
+/// zero diagonal) and transconductances (asymmetric entries).
+DenseMatrix random_mna(util::Rng& rng, std::size_t nodes, std::size_t sources) {
+  const std::size_t n = nodes + sources;
+  DenseMatrix a(n, n);
+  const auto conductance = [&](std::size_t i, std::size_t j, double g) {
+    a.at(i, i) += g;
+    a.at(j, j) += g;
+    a.at(i, j) -= g;
+    a.at(j, i) -= g;
   };
-  DenseMatrix a0 = matrix_from(base);
-  const std::vector<char> pattern = pattern_of(a0);
-  std::vector<double> b0 = {1.0, -2.0, 0.5};
-  LuPlan plan;
-  ASSERT_TRUE(plan.factor_and_compile(a0, b0, pattern));
-
-  // Row 0 now dominates column 0, so the frozen choice (row 2) is no
-  // longer the partial-pivot argmax: the plan must fall back to dense
-  // pivoting mid-solve rather than silently diverge from lu_solve().
-  std::vector<std::vector<double>> swapped = base;
-  swapped[0][0] = 10.0;
-  DenseMatrix a1 = matrix_from(swapped);
-  std::vector<double> b1 = {1.0, -2.0, 0.5};
-  ASSERT_TRUE(plan.solve_frozen(a1, b1, 1e-6));
-  EXPECT_EQ(plan.refreeze_count(), 1u);
-  DenseMatrix dense = matrix_from(swapped);
-  std::vector<double> b_dense = {1.0, -2.0, 0.5};
-  ASSERT_TRUE(lu_solve(dense, b_dense));
-  expect_vectors_bitwise_equal(b1, b_dense, "drifted solution");
-
-  // Self-healing: the refreeze recorded the new order, so re-solving the
-  // same system stays on the frozen path and still matches dense.
-  DenseMatrix a2 = matrix_from(swapped);
-  std::vector<double> b2 = {1.0, -2.0, 0.5};
-  ASSERT_TRUE(plan.solve_frozen(a2, b2, 1e-6));
-  EXPECT_EQ(plan.refreeze_count(), 1u);
-  expect_vectors_bitwise_equal(b2, b_dense, "refrozen solution");
+  const auto decades = [&](double lo, double hi) {
+    return std::pow(10.0, rng.uniform(lo, hi));
+  };
+  for (std::size_t i = 1; i < nodes; ++i) {
+    conductance(i, rng.uniform_index(i), decades(-6.0, -3.0));
+  }
+  for (std::size_t e = 0; e < nodes / 2; ++e) {
+    const std::size_t i = rng.uniform_index(nodes);
+    const std::size_t j = rng.uniform_index(nodes);
+    if (i != j) conductance(i, j, decades(-6.0, -3.0));
+  }
+  for (std::size_t i = 0; i < nodes; ++i) a.at(i, i) += 1e-12;
+  for (std::size_t e = 0; e < nodes / 4; ++e) {
+    const std::size_t out = rng.uniform_index(nodes);
+    const std::size_t ctrl = rng.uniform_index(nodes);
+    a.at(out, ctrl) += decades(-8.0, -6.0);
+  }
+  for (std::size_t s = 0; s < sources; ++s) {
+    const std::size_t node = s * nodes / sources;  // distinct nodes
+    a.at(node, nodes + s) += 1.0;
+    a.at(nodes + s, node) += 1.0;
+  }
+  return a;
 }
 
-TEST(LuPlanFallback, DegradedPivotTriggersRefreeze) {
-  // Diagonally dominant, so the frozen order is the identity and stays
-  // the argmax even after shrinking — only the degradation rule can (and
-  // must) trip on this deliberately ill-conditioned update.
+TEST(LuPlan, RandomMnaSystemsMatchDense) {
+  util::Rng rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t nodes = 4 + rng.uniform_index(60);
+    const std::size_t sources = 1 + rng.uniform_index(4);
+    const DenseMatrix a = random_mna(rng, nodes, sources);
+    const std::vector<int> pattern = pattern_of(a);
+    std::vector<double> b(a.rows());
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = i < nodes ? rng.uniform(-1e-6, 1e-6) : rng.uniform(0.0, 1.2);
+    }
+    LuPlan plan;
+    expect_plan_matches_dense(plan, a, pattern, b,
+                              "trial " + std::to_string(trial));
+    ASSERT_TRUE(plan.valid());
+
+    // Newton-style replay: same pattern, values scaled per entry within a
+    // decade, solved with the plan's static pivots.
+    DenseMatrix replay = a;
+    for (const int e : pattern) replay.data()[e] *= rng.uniform(0.5, 2.0);
+    expect_plan_matches_dense(plan, replay, pattern, b,
+                              "replay " + std::to_string(trial));
+  }
+}
+
+TEST(LuPlan, ArgmaxChangeKeepsOrder) {
   const std::vector<std::vector<double>> base = {
       {4.0, 1.0},
       {1.0, 4.0},
   };
-  DenseMatrix a0 = matrix_from(base);
-  const std::vector<char> pattern = pattern_of(a0);
-  std::vector<double> b0 = {1.0, 1.0};
+  const DenseMatrix a0 = matrix_from(base);
+  const std::vector<int> pattern = pattern_of(a0);
   LuPlan plan;
-  ASSERT_TRUE(plan.factor_and_compile(a0, b0, pattern));
+  expect_plan_matches_dense(plan, a0, pattern, {1.0, 1.0}, "base");
 
-  // Scale so row 0 keeps the column-0 argmax but the pivot magnitude
-  // collapses by 1e8 relative to freeze time: the degradation rule must
-  // force the dense fallback (refreeze), and the answer still matches
-  // the dense factorization bitwise.
-  std::vector<std::vector<double>> shrunk = base;
-  shrunk[0][0] = 4.0e-8;
-  shrunk[0][1] = 1.0e-8;
-  shrunk[1][0] = 0.5e-8;
-  shrunk[1][1] = 4.0e-8;
-  DenseMatrix a1 = matrix_from(shrunk);
-  std::vector<double> b1 = {1.0, 1.0};
-  ASSERT_TRUE(plan.solve_frozen(a1, b1, 1e-6));
+  // Row 1 now dominates column 0, but the replayed pivot is still far
+  // above 1e-6 x its column: static pivoting keeps the order.
+  const DenseMatrix a1 = matrix_from({{0.5, 1.0}, {3.0, 4.0}});
+  expect_plan_matches_dense(plan, a1, pattern, {1.0, -2.0}, "moved argmax");
+  EXPECT_EQ(plan.refreeze_count(), 0u);
+}
+
+TEST(LuPlanFallback, DegradedPivotTriggersRefreeze) {
+  const std::vector<std::vector<double>> base = {
+      {4.0, 1.0},
+      {1.0, 4.0},
+  };
+  const DenseMatrix a0 = matrix_from(base);
+  const std::vector<int> pattern = pattern_of(a0);
+  LuPlan plan;
+  expect_plan_matches_dense(plan, a0, pattern, {1.0, 1.0}, "base");
+  EXPECT_EQ(plan.refreeze_count(), 0u);
+
+  // The replayed pivot collapses below 1e-6 x its column maximum: the
+  // plan must re-choose the order and still agree with dense LU.
+  const DenseMatrix a1 = matrix_from({{1e-8, 1.0}, {1.0, 4.0}});
+  expect_plan_matches_dense(plan, a1, pattern, {1.0, 1.0}, "vanished pivot");
   EXPECT_EQ(plan.refreeze_count(), 1u);
-  DenseMatrix dense = matrix_from(shrunk);
-  std::vector<double> b_dense = {1.0, 1.0};
-  ASSERT_TRUE(lu_solve(dense, b_dense));
-  expect_vectors_bitwise_equal(b1, b_dense, "degraded-pivot solution");
 
-  // A permissive threshold on a fresh plan accepts the same shrink
-  // without any refreeze.
-  DenseMatrix a2 = matrix_from(base);
-  std::vector<double> b2 = {1.0, 1.0};
-  LuPlan fresh;
-  ASSERT_TRUE(fresh.factor_and_compile(a2, b2, pattern));
-  DenseMatrix a3 = matrix_from(shrunk);
-  std::vector<double> b3 = {1.0, 1.0};
-  ASSERT_TRUE(fresh.solve_frozen(a3, b3, 1e-12));
-  EXPECT_EQ(fresh.refreeze_count(), 0u);
-  expect_vectors_bitwise_equal(b3, b_dense, "permissive frozen solution");
+  // The new order also serves the original matrix without re-ordering.
+  expect_plan_matches_dense(plan, a0, pattern, {1.0, 1.0}, "base again");
+  EXPECT_EQ(plan.refreeze_count(), 1u);
 }
 
 TEST(LuPlanFallback, SingularUpdateInvalidatesPlan) {
-  const std::vector<std::vector<double>> base = {
-      {2.0, 1.0},
-      {1.0, 2.0},
-  };
-  DenseMatrix a0 = matrix_from(base);
-  const std::vector<char> pattern = pattern_of(a0);
-  std::vector<double> b0 = {1.0, 1.0};
+  const DenseMatrix a0 = matrix_from({{2.0, 1.0}, {1.0, 2.0}});
+  const std::vector<int> pattern = pattern_of(a0);
   LuPlan plan;
-  ASSERT_TRUE(plan.factor_and_compile(a0, b0, pattern));
+  expect_plan_matches_dense(plan, a0, pattern, {1.0, 1.0}, "base");
 
   // Rank-1 update: both rows proportional. Dense LU fails, and so must
-  // the frozen solve — invalidating the plan instead of dividing by a
+  // the sparse solve — invalidating the plan instead of dividing by a
   // vanishing pivot.
-  const std::vector<std::vector<double>> singular = {
-      {2.0, 1.0},
-      {4.0, 2.0},
-  };
-  DenseMatrix a1 = matrix_from(singular);
-  std::vector<double> b1 = {1.0, 1.0};
-  EXPECT_FALSE(plan.solve_frozen(a1, b1, 1e-6));
+  DenseMatrix singular = matrix_from({{2.0, 1.0}, {4.0, 2.0}});
+  std::vector<double> x = {1.0, 1.0};
+  EXPECT_FALSE(plan.solve(singular, pattern, x));
   EXPECT_FALSE(plan.valid());
+  std::vector<double> x_dense = {1.0, 1.0};
+  EXPECT_FALSE(lu_solve(singular, x_dense));
+}
+
+// Fill stays linear in the row width. A magnitude-driven dense pivot order
+// makes it cubic: 382x more multiply-adds at 64 cells than at 8.
+TEST(LuPlan, FillGrowsLinearlyWithRowWidth) {
+  const auto dc_ops = [](int cells) {
+    cim::ArrayConfig cfg = cim::ArrayConfig::proposed_2t1fefet();
+    cfg.cells_per_row = cells;
+    cim::CiMRow row(cfg);
+    row.set_stored(std::vector<int>(static_cast<std::size_t>(cells), 1));
+    Engine engine(row.circuit(), 27.0);
+    EXPECT_TRUE(engine.dc_operating_point(cfg.newton).converged) << cells;
+    return engine.workspace().plan.compiled_ops();
+  };
+  const std::size_t ops8 = dc_ops(8);
+  const std::size_t ops64 = dc_ops(64);
+  EXPECT_GT(ops8, 0u);
+  EXPECT_LE(ops64, 10 * ops8) << "8 cells: " << ops8 << ", 64 cells: " << ops64;
 }
 
 // ---------------------------------------------------------------------
-// Engine-level fallback: an update that degrades the pivots mid-solve
-// must still converge to the legacy answer (through refactoring), not
-// fail or drift.
+// Engine-level re-ordering: a switch whose stamped conductance collapses
+// over ~13 decades between Newton iterates makes a replayed pivot vanish;
+// the solve must re-choose its order and converge, not fail or drift.
 // ---------------------------------------------------------------------
 
 TEST(SolverHotPath, SwitchTransitionSurvivesPivotFallback) {
-  // A steep switch swings its stamped conductance over ~12 decades
-  // between Newton iterates — exactly the pivot-degradation scenario.
-  auto build = [](Circuit& ckt) {
-    VSwitch::Params params;
-    params.r_on = 10.0;
-    params.r_off = 1e12;
-    params.v_threshold = 0.5;
-    params.v_width = 0.01;
-    const auto in = ckt.node("in");
-    const auto out = ckt.node("out");
-    const auto ctrl = ckt.node("ctrl");
-    ckt.add<VSource>("V1", in, kGround, 1.0);
-    ckt.add<VSource>("VC", ctrl, kGround, 0.501);  // right at threshold
-    ckt.add<VSwitch>("S1", in, out, ctrl, params);
-    ckt.add<Resistor>("RL", out, kGround, 1000.0);
-  };
+  // The first iterate (all nodes at 0 V) sees the switch on, so the order
+  // pivots on node p's 10 S diagonal rather than on the floating source's
+  // unit entry in that column. Once ctrl settles at -1 V the switch is
+  // off and that diagonal falls to ~1e-12 S.
+  VSwitch::Params params;
+  params.r_on = 0.1;
+  params.r_off = 1e12;
+  params.v_threshold = -0.5;
+  params.v_width = 0.01;
+  Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto p = ckt.node("p");
+  const auto q = ckt.node("q");
+  const auto ctrl = ckt.node("ctrl");
+  ckt.add<VSource>("V1", in, kGround, 1.0);
+  ckt.add<VSource>("VC", ctrl, kGround, -1.0);
+  ckt.add<VSwitch>("S1", in, p, ctrl, params);
+  ckt.add<VSource>("VF", p, q, 0.2);
+  ckt.add<Resistor>("RL", q, kGround, 1000.0);
 
-  Circuit legacy_ckt;
-  build(legacy_ckt);
-  Engine legacy_engine(legacy_ckt, 27.0);
-  const DcResult ref = legacy_engine.dc_operating_point(legacy_options());
-  ASSERT_TRUE(ref.converged);
-
-  Circuit hot_ckt;
-  build(hot_ckt);
-  Engine hot_engine(hot_ckt, 27.0);
-  const DcResult hot = hot_engine.dc_operating_point(hot_options());
-  ASSERT_TRUE(hot.converged);
-  expect_vectors_bitwise_equal(hot.x, ref.x, "switch op x");
+  Engine engine(ckt, 27.0);
+  const DcResult op = engine.dc_operating_point();
+  ASSERT_TRUE(op.converged);
+  const SolverWorkspace& ws = engine.workspace();
+  EXPECT_EQ(ws.plan.refreeze_count(), 1u);
+  DenseMatrix a = ws.a;
+  std::vector<double> x_dense = ws.b;
+  ASSERT_TRUE(lu_solve(a, x_dense));
+  for (std::size_t i = 0; i < x_dense.size(); ++i) {
+    EXPECT_NEAR(ws.x_new[i], x_dense[i],
+                kTolAbs + kTolRel * std::fabs(ws.x_new[i]));
+  }
 }
 
 // ---------------------------------------------------------------------
 // Steady state allocates nothing: once the workspace is warm, a full
-// newton_solve() — restamp, frozen factorization, update — must not
+// newton_solve() — restamp, sparse refactorization, update — must not
 // touch the heap.
 // ---------------------------------------------------------------------
 
@@ -528,14 +494,14 @@ TEST(SolverHotPath, SteadyStateNewtonSolveDoesNotAllocate) {
   ctx.gmin = NewtonOptions{}.gmin_final;
   ctx.num_nodes = row.circuit().num_nodes();
 
-  const NewtonOptions options = hot_options();
+  const NewtonOptions options;
   std::vector<double> x(row.circuit().system_size(), 0.0);
   int iterations = 0;
-  // Warm-up: sizes the workspace, records the pattern, freezes pivots.
+  // Warm-up: sizes the workspace, records the pattern, chooses pivots.
   ASSERT_TRUE(engine.newton_solve(ctx, x, options, &iterations));
   ASSERT_TRUE(engine.workspace().plan.valid());
   EXPECT_GT(engine.workspace().plan.compiled_ops(), 0u);
-  // Second warm-up runs the steady-state (frozen-pivot) branch once so
+  // Second warm-up runs the steady-state (static-pivot) branch once so
   // its trace counters do their one-time registration outside the
   // counted region — first execution of a SFC_TRACE_COUNT site
   // allocates the registry entry, every later hit is a relaxed add.

@@ -3,6 +3,7 @@
 // coordinates.
 #include <gtest/gtest.h>
 
+#include "cim/array.hpp"
 #include "verify/oracle.hpp"
 
 namespace sfc::verify {
@@ -21,12 +22,13 @@ TEST(VerifyOracle, AllBuiltInOraclePairsMatch) {
   }
 }
 
-TEST(VerifyOracle, StampPlanTransientComparesEveryTimeStep) {
-  const OracleReport rep = oracle_stampplan_vs_legacy_transient();
+TEST(VerifyOracle, SparseVsDenseTransientCoversTheMacCycle) {
+  const OracleReport rep = oracle_sparse_vs_dense_transient();
   EXPECT_TRUE(rep.match) << rep.summary();
-  // time vector + all recorded signals + energy + v_acc: thousands of
-  // points, so a single-step divergence anywhere in the waveform is seen.
-  EXPECT_GT(rep.points_compared, 1000u);
+  // Every solution component plus the residual, at each of 8 instants.
+  sfc::cim::CiMRow row(sfc::cim::ArrayConfig::proposed_2t1fefet());
+  row.circuit().finalize();
+  EXPECT_EQ(rep.points_compared, 8u * (row.circuit().system_size() + 1));
 }
 
 TEST(VerifyOracle, InjectedDivergenceReportsFirstPoint) {

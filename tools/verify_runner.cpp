@@ -195,7 +195,7 @@ int cmd_check_bench(std::vector<const char*> args) {
                   std::string("kernel missing string '") + key + "'");
         }
         for (const char* key :
-             {"samples", "legacy_ms", "hot_ms", "speedup", "solves_per_sec"}) {
+             {"samples", "hot_ms", "solves_per_sec"}) {
           require(k.has(key) && k.get(key).is_number(),
                   std::string("kernel missing numeric '") + key + "'");
         }
@@ -210,7 +210,7 @@ int cmd_check_bench(std::vector<const char*> args) {
                         "' must be non-negative");
           }
         }
-        for (const char* key : {"bit_identical", "converged"}) {
+        for (const char* key : {"repeatable", "converged"}) {
           require(k.has(key) && k.get(key).is_bool(),
                   std::string("kernel missing bool '") + key + "'");
         }
