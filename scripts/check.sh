@@ -92,13 +92,13 @@ ctest --test-dir "${NOTRACE_DIR}" -L "trace|exec" --output-on-failure -j "${JOBS
 "${NOTRACE_DIR}/tools/verify_runner" check-bench "${NOTRACE_DIR}/BENCH_solver.json" \
   --keys tests/goldens/bench_solver_keys.json
 
-step "UBSan pass (ctest -L \"spice|verify|lint|trace\" under -fsanitize=undefined)"
+step "UBSan pass (ctest -L \"spice|verify|lint|trace|nn|exec\" under -fsanitize=undefined)"
 # -L is an AND filter when repeated; the regex is the union of the labels.
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "${UBSAN_DIR}" -S . -DSFC_SANITIZE=undefined \
   -DSFC_BUILD_BENCH=OFF -DSFC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${UBSAN_DIR}" -j "${JOBS}"
-ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace" \
+ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace|nn|exec" \
   --output-on-failure -j "${JOBS}"
 # The interval-oracle fuzz campaign under UBSan: the outward-rounding
 # interval arithmetic and the fixpoint engine must be UB-free on 200

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -108,6 +109,34 @@ int BehavioralArrayModel::decode(double v) const {
     if (v > th) ++level;
   }
   return level;
+}
+
+std::vector<double> BehavioralArrayModel::decode_distribution(
+    int true_count, double temperature_c) const {
+  const double mu = v_acc(true_count, temperature_c);
+  const double s = sigma(true_count);
+  std::vector<double> p(static_cast<std::size_t>(cells_) + 1, 0.0);
+  if (s <= 0.0) {
+    p[static_cast<std::size_t>(decode(mu))] = 1.0;
+    return p;
+  }
+  // decode(v) counts the thresholds below v, so it reads j exactly when
+  // v lies in (th[j-1], th[j]] of the sorted thresholds.
+  std::vector<double> th = thresholds_;
+  std::sort(th.begin(), th.end());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double scale = 1.0 / (s * std::sqrt(2.0));
+  const auto below = [&](double t) { return 0.5 * std::erfc((mu - t) * scale); };
+  const auto above = [&](double t) { return 0.5 * std::erfc((t - mu) * scale); };
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    const double lo = j > 0 ? th[j - 1] : -inf;
+    const double hi = j < th.size() ? th[j] : inf;
+    // Difference the upper tail above the mean, the lower tail below it,
+    // so a far tail is not lost to cancellation against 1.
+    const double mass = lo >= mu ? above(lo) - above(hi) : below(hi) - below(lo);
+    p[j] = std::max(0.0, mass);
+  }
+  return p;
 }
 
 int BehavioralArrayModel::mac(int true_count, double temperature_c,

@@ -48,6 +48,14 @@ class BehavioralArrayModel {
   /// ADC decode of a raw voltage (nearest design-temperature level).
   int decode(double v) const;
 
+  /// Distribution of mac(true_count, T, rng): entry j is P(decode = j), the
+  /// mass of N(v_acc(true_count, T), sigma(true_count)) between the sorted
+  /// thresholds around level j (Phi-differences, each taken on the side of
+  /// the mean where it is accurate). Degenerate at decode(v_acc) when
+  /// sigma(true_count) is 0. Size cells() + 1.
+  std::vector<double> decode_distribution(int true_count,
+                                          double temperature_c) const;
+
   /// Extension (not in the paper): decode with *temperature-tracking*
   /// references - thresholds recomputed from the calibrated levels at the
   /// actual operating temperature, as a temperature-compensated sensing
