@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "cim/energy.hpp"
 #include "nn/cim_engine.hpp"
@@ -103,13 +104,19 @@ int main(int argc, char** argv) {
     trainer.fit(train);
     net.save_weights(kWeightsPath);
   }
-  const double float_acc = nn::Trainer::evaluate(net, test);
+  // Every row but the baseline's is measured on the first eval_images test
+  // images; the table's "images" column states each row's split.
+  const int eval_images = 150;
+  const int baseline_images = 60;
+  data::Dataset eval_split;
+  eval_split.images.assign(test.images.begin(),
+                           test.images.begin() + eval_images);
+  const double float_acc = nn::Trainer::evaluate(net, eval_split);
 
   // --- 2. quantize --------------------------------------------------------
   const nn::QuantizedNetwork qnet =
       nn::QuantizedNetwork::from_model(net, train, 24);
   nn::IdealDotEngine ideal;
-  const int eval_images = 150;
   const double int8_acc = qnet.evaluate(test, ideal, eval_images);
 
   // --- 3. calibrate the fabrics -------------------------------------------
@@ -126,11 +133,12 @@ int main(int argc, char** argv) {
           cim::ArrayConfig::baseline_1r_subthreshold(), temps, kBaselineCal);
 
   // --- 4. evaluate across temperature -------------------------------------
-  util::Table table({"fabric", "T [degC]", "noise", "accuracy",
+  util::Table table({"fabric", "T [degC]", "noise", "images", "accuracy",
                      "row error rate"});
-  table.add_row({"float32 (software)", "-", "-",
+  const std::string eval_n = std::to_string(eval_images);
+  table.add_row({"float32 (software)", "-", "-", eval_n,
                  util::fmt_percent(float_acc).substr(1), "-"});
-  table.add_row({"int8 digital", "-", "-",
+  table.add_row({"int8 digital", "-", "-", eval_n,
                  util::fmt_percent(int8_acc).substr(1), "-"});
 
   double proposed_room_acc = 0.0;
@@ -140,7 +148,7 @@ int main(int argc, char** argv) {
     nn::CimDotEngine engine(proposed, opts);
     const double acc = qnet.evaluate(test, engine, eval_images);
     if (t == 27.0) proposed_room_acc = acc;
-    table.add_row({"2T-1FeFET (proposed)", util::fmt(t, 3), "no",
+    table.add_row({"2T-1FeFET (proposed)", util::fmt(t, 3), "no", eval_n,
                    util::fmt_percent(acc).substr(1),
                    util::fmt(row_error_rate(engine) * 100.0, 3) + "%"});
   }
@@ -152,7 +160,7 @@ int main(int argc, char** argv) {
     opts.with_variation_noise = true;
     nn::CimDotEngine engine(proposed, opts);
     const double acc = qnet.evaluate(test, engine, eval_images);
-    table.add_row({"2T-1FeFET (proposed)", "27", "sigma=54mV",
+    table.add_row({"2T-1FeFET (proposed)", "27", "sigma=54mV", eval_n,
                    util::fmt_percent(acc).substr(1),
                    util::fmt(row_error_rate(engine) * 100.0, 3) + "%"});
   }
@@ -160,8 +168,9 @@ int main(int argc, char** argv) {
     nn::CimDotEngine::Options opts;
     opts.temperature_c = t;
     nn::CimDotEngine engine(baseline, opts);
-    const double acc = qnet.evaluate(test, engine, /*max_images=*/60);
+    const double acc = qnet.evaluate(test, engine, baseline_images);
     table.add_row({"1FeFET-1R subthr. (baseline)", util::fmt(t, 3), "no",
+                   std::to_string(baseline_images),
                    util::fmt_percent(acc).substr(1),
                    util::fmt(row_error_rate(engine) * 100.0, 3) + "%"});
   }

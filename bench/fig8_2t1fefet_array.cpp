@@ -18,6 +18,13 @@ using namespace sfc::cim;
 
 int main(int argc, char** argv) {
   trace::install_cli_observability(&argc, argv);
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "%s: unknown argument '%s'\n"
+                 "usage: %s [--trace OUT.json] [--metrics OUT.json]\n",
+                 argv[0], argv[1], argv[0]);
+    return 2;
+  }
   std::printf("== Fig. 8(a): 2T-1FeFET array MAC output ranges, 0-85 degC ==\n\n");
 
   const ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();

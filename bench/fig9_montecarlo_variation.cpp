@@ -4,12 +4,13 @@
 //
 // --threads N fans the independent runs out over N worker threads
 // (N = 0 uses all hardware threads); the samples are bit-identical to a
-// serial run for any N.
+// serial run for any N. A malformed N or any other argument exits 2.
 #include <cstdio>
-#include <cstdlib>
-#include <string>
+#include <optional>
+#include <string_view>
 
 #include "cim/montecarlo.hpp"
+#include "exec/parallel.hpp"
 #include "trace/cli.hpp"
 #include "util/csv.hpp"
 #include "util/histogram.hpp"
@@ -24,18 +25,23 @@ int main(int argc, char** argv) {
   mc.runs = 100;
   mc.sigma_vt_fefet = 0.054;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+    const std::string_view arg = argv[i];
+    std::optional<int> threads;
     if (arg == "--threads" && i + 1 < argc) {
-      mc.exec.threads = std::atoi(argv[++i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      mc.exec.threads = std::atoi(arg.c_str() + 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads N] [--trace OUT.json] "
-                   "[--metrics OUT.json]\n",
-                   argv[0]);
-      return 1;
+      threads = exec::parse_thread_count(argv[++i]);
+    } else if (arg.starts_with("--threads=")) {
+      threads = exec::parse_thread_count(arg.substr(10));
     }
+    if (!threads) {
+      std::fprintf(stderr,
+                   "%s: bad argument '%s'\n"
+                   "usage: %s [--threads N] [--trace OUT.json] "
+                   "[--metrics OUT.json]  (N >= 0, 0 = all hardware "
+                   "threads)\n",
+                   argv[0], argv[i], argv[0]);
+      return 2;
+    }
+    mc.exec.threads = *threads;
   }
 
   std::printf(

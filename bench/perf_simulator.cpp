@@ -3,9 +3,9 @@
 // behavioural-model fast path. These are engineering benchmarks for the
 // reproduction itself, not paper artifacts.
 //
-// Pass --threads N (before any google-benchmark flags) to additionally run
-// the Monte Carlo fan-out serially and with N threads, verify the outputs
-// are bit-identical, and report the speedup.
+// Pass --threads N (N > 0) to additionally run the Monte Carlo fan-out
+// serially and with N threads, verify the outputs are bit-identical, and
+// report the speedup.
 //
 // Pass --smoke to instead run the tracked solver benchmark suite: a fixed
 // set of kernels, each timed over several samples on a warm object after a
@@ -15,14 +15,18 @@
 // CMake target and ctest label run `--smoke --json BENCH_solver.json`.
 // Timing never fails the run — only a convergence failure or a replay that
 // does not repeat the timed bits does.
+//
+// A malformed --threads operand, an argument google-benchmark does not
+// know, or any argument besides the smoke/observability flags in smoke
+// mode exits 2 before anything is simulated.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -435,16 +439,22 @@ int run(const std::string& json_path) {
 namespace {
 
 /// Remove `--threads N` / `--threads=N` from argv (google-benchmark rejects
-/// flags it does not know). Returns the requested count, 0 if absent.
-int strip_threads_flag(int* argc, char** argv) {
+/// flags it does not know). Returns the requested count (0 if absent), or
+/// nullopt when the operand is missing or malformed.
+std::optional<int> strip_threads_flag(int* argc, char** argv) {
   int threads = 0;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < *argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + 10);
+    if (arg == "--threads" || arg.rfind("--threads=", 0) == 0) {
+      std::optional<int> parsed;
+      if (arg != "--threads") {
+        parsed = exec::parse_thread_count(arg.substr(10));
+      } else if (i + 1 < *argc) {
+        parsed = exec::parse_thread_count(argv[++i]);
+      }
+      if (!parsed) return std::nullopt;
+      threads = *parsed;
     } else {
       argv[out++] = argv[i];
     }
@@ -564,13 +574,23 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) trace::Tracer::global().start();
   std::string json_path;
   if (strip_smoke_flags(&argc, argv, &json_path)) {
+    if (argc > 1) {
+      std::fprintf(stderr, "%s: unknown argument '%s' in smoke mode\n",
+                   argv[0], argv[1]);
+      return 2;
+    }
     const int rc = smoke::run(json_path);
     return write_observability(trace_path, metrics_path) ? rc : 1;
   }
-  const int threads = strip_threads_flag(&argc, argv);
-  if (threads > 0) report_montecarlo_speedup(threads);
+  const std::optional<int> threads = strip_threads_flag(&argc, argv);
+  if (!threads) {
+    std::fprintf(stderr, "%s: --threads takes a non-negative integer\n",
+                 argv[0]);
+    return 2;
+  }
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  if (*threads > 0) report_montecarlo_speedup(*threads);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return write_observability(trace_path, metrics_path) ? 0 : 1;

@@ -105,6 +105,16 @@ ctest --test-dir "${UBSAN_DIR}" -L "spice|verify|lint|trace|nn|exec" \
 # generated decks, with zero solver escapes from the static bounds.
 "${UBSAN_DIR}/tools/verify_runner" fuzz --count 200 --dump "${UBSAN_DIR}"
 
+step "ASan pass (ctest -L \"spice|verify|lint|trace|nn|exec\" under -fsanitize=address)"
+# Heap overflows, use-after-free and leaks (LeakSanitizer) abort the test
+# binary, so any finding fails its ctest case.
+ASAN_DIR="${BUILD_DIR}-asan"
+cmake -B "${ASAN_DIR}" -S . -DSFC_SANITIZE=address \
+  -DSFC_BUILD_BENCH=OFF -DSFC_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build "${ASAN_DIR}" -j "${JOBS}"
+ctest --test-dir "${ASAN_DIR}" -L "spice|verify|lint|trace|nn|exec" \
+  --output-on-failure -j "${JOBS}"
+
 step "clang-tidy (skipped automatically when the binary is absent)"
 scripts/tidy.sh "${BUILD_DIR}"
 

@@ -119,14 +119,6 @@ void CiMRow::set_mosfet_vth_shifts(const std::vector<double>& m1_shifts,
   }
 }
 
-void CiMRow::clear_vth_shifts() {
-  for (auto& h : cells_) {
-    h.fefet->set_vth_shift(0.0);
-    if (h.m1) h.m1->set_vth_shift(0.0);
-    if (h.m2) h.m2->set_vth_shift(0.0);
-  }
-}
-
 MacResult CiMRow::evaluate(const std::vector<int>& inputs,
                            double temperature_c, bool keep_waveforms) {
   assert(static_cast<int>(inputs.size()) == cfg_.cells_per_row);

@@ -60,7 +60,6 @@ class CiMRow {
   void set_fefet_vth_shifts(const std::vector<double>& shifts);
   void set_mosfet_vth_shifts(const std::vector<double>& m1_shifts,
                              const std::vector<double>& m2_shifts);
-  void clear_vth_shifts();
 
   /// Run one MAC cycle with the given input bits at `temperature_c`.
   MacResult evaluate(const std::vector<int>& inputs, double temperature_c,

@@ -82,8 +82,6 @@ class BehavioralArrayModel {
       const std::string& cache_path, const MonteCarloConfig* variation =
                                          nullptr);
 
-  double design_temperature_c() const { return design_temp_c_; }
-
  private:
   void build_thresholds();
 

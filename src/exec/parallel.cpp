@@ -1,6 +1,7 @@
 #include "exec/parallel.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 namespace sfc::exec {
 
@@ -18,6 +19,15 @@ std::size_t ExecPolicy::resolved_chunk(std::size_t n, int threads_used) const {
   if (chunk > 0) return static_cast<std::size_t>(chunk);
   const std::size_t workers = static_cast<std::size_t>(std::max(1, threads_used));
   return std::max<std::size_t>(1, n / (workers * 4));
+}
+
+std::optional<int> parse_thread_count(std::string_view text) {
+  if (text.starts_with('-')) return std::nullopt;  // also "-0"
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
 }
 
 double JobReport::task_ms_total() const {

@@ -17,6 +17,8 @@
 #include <cstddef>
 #include <exception>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -46,6 +48,11 @@ struct ExecPolicy {
   /// Chunk size a job over `n` tasks with `threads_used` workers uses.
   std::size_t resolved_chunk(std::size_t n, int threads_used) const;
 };
+
+/// Parse a `--threads` operand: one whole-token non-negative decimal
+/// integer (0 = one worker per hardware thread). Anything else ("", "abc",
+/// "-1", "-0", "+2", "4x", " 4", or a value that overflows int) is nullopt.
+std::optional<int> parse_thread_count(std::string_view text);
 
 /// What a fan-out did: wall time of the whole job, wall time of every
 /// task, and how many tasks reported success ("converged") vs failure.

@@ -108,7 +108,6 @@ class PreisachModel {
 
   const PreisachParams& params() const { return p_; }
   int num_domains() const { return static_cast<int>(state_.size()); }
-  double domain_state(int i) const { return state_[static_cast<std::size_t>(i)]; }
 
  private:
   PreisachParams p_;

@@ -85,9 +85,6 @@ struct ConductionComponents {
   std::size_t component_of(spice::NodeId n) const {
     return root[node_slot(n, num_nodes)];
   }
-  bool same_component(spice::NodeId a, spice::NodeId b) const {
-    return component_of(a) == component_of(b);
-  }
 
   static ConductionComponents build(const spice::Circuit& circuit,
                                     bool caps_conduct);
@@ -186,10 +183,6 @@ struct OperatingIntervals {
   bool dc_is_tainted(spice::NodeId n) const {
     return n != spice::kGround &&
            dc_tainted[static_cast<std::size_t>(n)] != 0;
-  }
-  bool envelope_is_tainted(spice::NodeId n) const {
-    return n != spice::kGround &&
-           envelope_tainted[static_cast<std::size_t>(n)] != 0;
   }
 };
 

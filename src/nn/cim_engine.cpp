@@ -302,7 +302,6 @@ void CimDotEngine::dot_batch(std::span<const std::uint8_t> a,
                              std::size_t row_stride, std::size_t rows,
                              std::int64_t* out) {
   if (rows == 0) return;
-  SFC_TRACE_SPAN("cim.dot_batch");
   SFC_TRACE_COUNT("cim.dot.batches", 1);
   SFC_TRACE_COUNT("cim.dot.rows", rows);
   SFC_TRACE_COUNT("cim.dot.row_ops",

@@ -3,10 +3,19 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
+
+#include "trace/trace.hpp"
 
 namespace sfc::nn {
 namespace {
+
+/// Span name of one forward layer, indexed by QuantOp::Kind.
+constexpr const char* kLayerSpan[] = {"nn.layer.conv", "nn.layer.dense",
+                                      "nn.layer.pool", "nn.layer.flatten"};
+static_assert(std::size(kLayerSpan) ==
+              static_cast<std::size_t>(QuantOp::Kind::kFlatten) + 1);
 
 struct Geometry {
   int c = 0, h = 0, w = 0;
@@ -237,6 +246,7 @@ QuantizedNetwork QuantizedNetwork::from_model(
 
 Tensor QuantizedNetwork::forward(const sfc::data::Image& img,
                                  DotEngine& engine) const {
+  SFC_TRACE_SPAN("nn.forward");
   // uint8 activations with a single scale.
   const long act_levels = options_.activation_levels();
   std::vector<std::uint8_t> act(img.pixels.size());
@@ -253,6 +263,9 @@ Tensor QuantizedNetwork::forward(const sfc::data::Image& img,
 
   for (std::size_t oi = 0; oi < ops_.size(); ++oi) {
     const QuantOp& op = ops_[oi];
+    // One span per layer, not per dot_batch call: a traced VGG image makes
+    // thousands of batched calls.
+    SFC_TRACE_SPAN(kLayerSpan[static_cast<int>(op.kind)]);
     engine.begin_layer(static_cast<int>(oi));
     const Geometry gout = advance(g, op);
     const bool last = oi + 1 == ops_.size();

@@ -18,12 +18,6 @@ double AcStamper::dc_v(NodeId n) const {
   return dc_x_[static_cast<std::size_t>(n)];
 }
 
-double AcStamper::dc_aux(int aux_index) const {
-  const std::size_t idx = num_nodes_ + static_cast<std::size_t>(aux_index);
-  assert(idx < dc_x_.size());
-  return dc_x_[idx];
-}
-
 int AcStamper::node_row(NodeId n) const { return n; }
 
 int AcStamper::aux_row(int aux_index) const {

@@ -89,9 +89,6 @@ class Stamper {
     add_matrix(b, a, -g);
   }
 
-  /// Conductance g from node a to ground.
-  void conductance_to_ground(NodeId a, double g) { add_matrix(a, a, g); }
-
   /// Independent current i flowing from node `from` into node `to`.
   void current(NodeId from, NodeId to, double i) {
     add_rhs(from, -i);
@@ -152,7 +149,6 @@ class AcStamper {
 
   /// DC bias voltage of a node (linearization point).
   double dc_v(NodeId n) const;
-  double dc_aux(int aux_index) const;
 
   void conductance(NodeId a, NodeId b, double g);
   /// Susceptance of a capacitor: adds j*omega*c between the nodes.

@@ -13,24 +13,6 @@ Engine::Engine(Circuit& circuit, double temperature_c)
   circuit_.finalize();
 }
 
-void Engine::set_node_guess(const std::string& node, double volts) {
-  node_guesses_.emplace_back(node, volts);
-}
-
-void Engine::clear_node_guesses() { node_guesses_.clear(); }
-
-std::vector<double> Engine::initial_vector() const {
-  std::vector<double> x(circuit_.system_size(), 0.0);
-  for (const auto& [name, volts] : node_guesses_) {
-    // Guesses for nodes that were never created are silently ignored; this
-    // lets generic setup code seed optional probe nodes.
-    const std::optional<NodeId> id = circuit_.find_node(name);
-    if (!id || *id == kGround) continue;
-    x[static_cast<std::size_t>(*id)] = volts;
-  }
-  return x;
-}
-
 bool Engine::apply_update(std::vector<double>& x,
                           const std::vector<double>& x_new,
                           const NewtonOptions& options) const {
@@ -164,24 +146,11 @@ bool Engine::newton_solve(const SimContext& ctx, std::vector<double>& x,
   return ok;
 }
 
-void Engine::set_preflight(PreflightCheck check) {
-  preflight_ = std::move(check);
-  preflight_done_ = false;
-}
-
-void Engine::run_preflight() {
-  if (preflight_done_ || !preflight_) return;
-  preflight_(circuit_);
-  // Only a passing screen is cached; a rejecting check keeps rejecting.
-  preflight_done_ = true;
-}
-
 DcResult Engine::dc_operating_point(const NewtonOptions& options,
                                     const std::vector<double>* warm_start) {
   SFC_TRACE_SPAN("spice.dc_operating_point");
   SFC_TRACE_COUNT("spice.dc.solves", 1);
   circuit_.finalize();
-  run_preflight();
   DcResult result;
   SimContext ctx;
   ctx.mode = AnalysisMode::kDcOperatingPoint;
@@ -193,7 +162,7 @@ DcResult Engine::dc_operating_point(const NewtonOptions& options,
   std::vector<double> x =
       (warm_start && warm_start->size() == circuit_.system_size())
           ? *warm_start
-          : initial_vector();
+          : std::vector<double>(circuit_.system_size(), 0.0);
 
   // Plain attempt at final gmin, then gmin stepping from a large leak.
   ctx.gmin = options.gmin_final;
@@ -203,7 +172,7 @@ DcResult Engine::dc_operating_point(const NewtonOptions& options,
 
   if (!ok) {
     SFC_TRACE_COUNT("spice.dc.gmin_fallbacks", 1);
-    x = initial_vector();
+    x.assign(circuit_.system_size(), 0.0);
     double gmin = options.gmin_start;
     ok = true;
     while (gmin >= options.gmin_final * 0.999) {
@@ -374,14 +343,9 @@ TransientResult Engine::transient(double t_stop,
 
   double t = 0.0;
   bool just_crossed_breakpoint = true;  // first step uses BE for robustness
-  // Adaptive stepping state: the current nominal step size.
-  double dt_nominal = options.dt;
-  const double dt_max =
-      options.dt_max > 0.0 ? options.dt_max : 16.0 * options.dt;
   while (t < t_stop - 1e-18) {
-    // Choose the step: nominal dt, clipped to the next breakpoint / stop.
-    double dt = dt_nominal;
-    double target = t + dt;
+    // Choose the step: dt, clipped to the next breakpoint / stop.
+    double target = t + options.dt;
     bool hits_bp = false;
     if (next_bp < bps.size() && bps[next_bp] <= target + 1e-18) {
       target = bps[next_bp];
@@ -391,7 +355,7 @@ TransientResult Engine::transient(double t_stop,
       target = t_stop;
       hits_bp = false;
     }
-    dt = target - t;
+    const double dt = target - t;
     if (dt <= 0.0) {  // breakpoint coincides with current time
       ++next_bp;
       continue;
@@ -428,20 +392,6 @@ TransientResult Engine::transient(double t_stop,
 
     SFC_TRACE_COUNT("spice.tran.steps_accepted", 1);
     SFC_TRACE_HIST("spice.tran.newton_iterations_per_step", last_iters);
-
-    if (options.adaptive) {
-      // Iteration-count step control: easy steps grow the nominal step,
-      // hard-fought ones shrink it. Failure halving (above) already
-      // handled outright rejections.
-      if (retries > 0 || last_iters > options.shrink_above_iterations) {
-        dt_nominal = std::max(options.dt * 1e-3,
-                              dt_nominal * options.shrink_factor);
-        SFC_TRACE_COUNT("spice.tran.dt_shrinks", 1);
-      } else if (last_iters < options.grow_below_iterations) {
-        dt_nominal = std::min(dt_max, dt_nominal * options.grow_factor);
-        SFC_TRACE_COUNT("spice.tran.dt_grows", 1);
-      }
-    }
 
     x = x_try;
     for (const auto& dev : circuit_.devices()) {

@@ -4,7 +4,6 @@
 // used (Cadence Spectre); see DESIGN.md for the substitution rationale.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "spice/circuit.hpp"
@@ -59,17 +58,6 @@ struct TransientOptions {
   int max_step_retries = 12;
   /// Record waveforms (disable for energy-only runs to save memory).
   bool record_waveforms = true;
-
-  /// Iteration-count adaptive stepping: when a step converges quickly the
-  /// next step grows (up to dt_max); a hard-fought step shrinks the next
-  /// one. Breakpoints and failure-halving behave as in fixed-step mode,
-  /// so waveform corners are never skipped.
-  bool adaptive = false;
-  double dt_max = 0.0;          ///< 0 = 16x the nominal dt
-  int grow_below_iterations = 4;
-  int shrink_above_iterations = 9;
-  double grow_factor = 1.4;
-  double shrink_factor = 0.6;
 };
 
 class Engine {
@@ -80,21 +68,6 @@ class Engine {
 
   double temperature_c() const { return temperature_c_; }
   void set_temperature_c(double t) { temperature_c_ = t; }
-
-  /// Initial guess for a node used by the next DC solve (helps Newton on
-  /// high-gain feedback circuits).
-  void set_node_guess(const std::string& node, double volts);
-  void clear_node_guesses();
-
-  /// Opt-in pre-flight gate: `check` runs once against the finalized
-  /// circuit before the next analysis (DC / transient / AC) and may throw
-  /// to reject it. lint::install_preflight wires the static ERC rules in
-  /// here so library users get the same screening as the sfc_lint CLI —
-  /// a malformed circuit fails with structured diagnostics instead of a
-  /// cryptic singular-matrix error deep inside Newton. Passing nullptr
-  /// removes the gate; installing a check (re)arms it.
-  using PreflightCheck = std::function<void(const Circuit&)>;
-  void set_preflight(PreflightCheck check);
 
   /// DC operating point at the engine temperature. Sources are evaluated
   /// at t = 0. `warm_start` (optional) seeds Newton with a previous
@@ -138,18 +111,11 @@ class Engine {
   /// state.
   SolverWorkspace& prepare_workspace(const SimContext& ctx);
 
-  std::vector<double> initial_vector() const;
   std::vector<std::string> signal_names() const;
   std::vector<double> breakpoints(double t_stop) const;
 
-  /// Run the armed preflight check (if any) exactly once.
-  void run_preflight();
-
   Circuit& circuit_;
   double temperature_c_;
-  PreflightCheck preflight_;
-  bool preflight_done_ = false;
-  std::vector<std::pair<std::string, double>> node_guesses_;
   /// Indexed by AnalysisMode (DC and transient stamp patterns differ).
   SolverWorkspace workspaces_[2];
 };

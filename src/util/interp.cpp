@@ -18,11 +18,6 @@ PiecewiseLinear::PiecewiseLinear(std::vector<std::pair<double, double>> points)
   }
 }
 
-void PiecewiseLinear::add_point(double x, double y) {
-  assert(points_.empty() || points_.back().first < x);
-  points_.emplace_back(x, y);
-}
-
 double PiecewiseLinear::operator()(double x) const {
   assert(!points_.empty());
   if (x <= points_.front().first) return points_.front().second;

@@ -17,8 +17,6 @@ class PiecewiseLinear {
   /// Points must be strictly increasing in x (asserted).
   explicit PiecewiseLinear(std::vector<std::pair<double, double>> points);
 
-  void add_point(double x, double y);
-
   double operator()(double x) const;
 
   bool empty() const { return points_.empty(); }

@@ -30,8 +30,6 @@ Summary summarize(std::span<const double> values) {
 
 double mean(std::span<const double> values) { return summarize(values).mean; }
 double stddev(std::span<const double> values) { return summarize(values).stddev; }
-double min_value(std::span<const double> values) { return summarize(values).min; }
-double max_value(std::span<const double> values) { return summarize(values).max; }
 
 double percentile(std::span<const double> values, double q) {
   if (values.empty()) return 0.0;

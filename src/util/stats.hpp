@@ -25,8 +25,6 @@ Summary summarize(std::span<const double> values);
 
 double mean(std::span<const double> values);
 double stddev(std::span<const double> values);
-double min_value(std::span<const double> values);
-double max_value(std::span<const double> values);
 
 /// Percentile via linear interpolation between order statistics.
 /// `q` in [0, 100]. Input need not be sorted.

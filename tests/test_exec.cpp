@@ -192,6 +192,16 @@ TEST(ExecPolicy, ResolvesThreadsAndChunks) {
   EXPECT_GE((ExecPolicy{2, 0}).resolved_chunk(100, 2), 1u);
 }
 
+TEST(ExecPolicy, ParsesThreadCountAsOneNonNegativeInteger) {
+  EXPECT_EQ(parse_thread_count("0"), 0);
+  EXPECT_EQ(parse_thread_count("1"), 1);
+  EXPECT_EQ(parse_thread_count("16"), 16);
+  for (const char* bad : {"", "abc", "-1", "-0", "+2", "4x", " 4", "4 ",
+                          "2.5", "99999999999"}) {
+    EXPECT_EQ(parse_thread_count(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 TEST(Determinism, MonteCarloBitIdenticalAcrossThreadCounts) {
   cim::MonteCarloConfig mc;
   mc.runs = 3;

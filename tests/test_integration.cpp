@@ -2,9 +2,13 @@
 // end - circuit-level calibration, array separability feeding the
 // behavioural model, and CNN inference through the CiM fabric across
 // temperature.
+#include <vector>
+
 #include <gtest/gtest.h>
 
-#include "cim/calibration.hpp"
+#include "cim/energy.hpp"
+#include "cim/mac.hpp"
+#include "cim/metrics.hpp"
 #include "nn/cim_engine.hpp"
 #include "nn/trainer.hpp"
 #include "nn/vgg.hpp"
@@ -13,25 +17,62 @@ namespace {
 
 using namespace sfc;
 
+// Max normalized fluctuation (reference 27 degC) of the converged cell
+// currents: i_drain for the 1FeFET-1R current-mode read (Fig. 3), the C0
+// average charging current for the 2T-1FeFET cell (Fig. 7).
+double fluctuation_1r(const cim::ArrayConfig& cfg,
+                      const std::vector<double>& temps_c) {
+  std::vector<double> temps, currents;
+  for (const auto& r : cim::cell_current_response(cfg, temps_c, 1, 1)) {
+    if (!r.converged) continue;
+    temps.push_back(r.temperature_c);
+    currents.push_back(r.i_drain);
+  }
+  return cim::max_normalized_fluctuation(temps, currents, 27.0);
+}
+
+double fluctuation_2t(const cim::ArrayConfig& cfg,
+                      const std::vector<double>& temps_c) {
+  std::vector<double> temps, currents;
+  for (const auto& r : cim::cell_temperature_response(cfg, temps_c, 1, 1)) {
+    if (!r.converged) continue;
+    temps.push_back(r.temperature_c);
+    currents.push_back(r.i_avg);
+  }
+  return cim::max_normalized_fluctuation(temps, currents, 27.0);
+}
+
+double nmr_min(const cim::ArrayConfig& cfg,
+               const std::vector<double>& temps_c) {
+  return cim::summarize_nmr(cim::mac_level_sweep(cfg, temps_c).levels)
+      .nmr_min;
+}
+
 TEST(Integration, PaperHeadlineClaimsHold) {
-  // Coarse grid keeps this test fast; the bench uses the full grid.
-  const cim::CalibrationReport rep =
-      cim::run_calibration({0.0, 27.0, 85.0});
+  // Coarse grid keeps this test fast; the benches use the full grid.
+  const std::vector<double> temps = {0.0, 27.0, 85.0};
+  const std::vector<double> warm = {27.0, 85.0};
+  const cim::ArrayConfig sat = cim::ArrayConfig::baseline_1r_saturation();
+  const cim::ArrayConfig sub = cim::ArrayConfig::baseline_1r_subthreshold();
+  const cim::ArrayConfig prop = cim::ArrayConfig::proposed_2t1fefet();
 
   // Sec. III-A: subthreshold operation is much more temperature-sensitive
   // than saturation operation for the baseline cell.
-  EXPECT_TRUE(rep.subthreshold_worse_than_saturation());
+  const double fluct_sub = fluctuation_1r(sub, temps);
+  EXPECT_GT(fluct_sub, fluctuation_1r(sat, temps));
   // Sec. IV-A: the proposed cell beats the subthreshold baseline.
-  EXPECT_TRUE(rep.proposed_beats_subthreshold_baseline());
+  EXPECT_LT(fluctuation_2t(prop, temps), fluct_sub);
   // Fig. 8(a) vs Fig. 4: proposed array separable, baseline overlaps.
-  EXPECT_TRUE(rep.proposed_array_separable());
-  EXPECT_TRUE(rep.baseline_array_overlaps());
+  const double nmr_prop = nmr_min(prop, temps);
+  EXPECT_GT(nmr_prop, 0.0);
+  EXPECT_LT(nmr_min(sub, temps), 0.0);
   // Fig. 8(b): ultra-low energy (single-digit fJ/op at most).
-  EXPECT_GT(rep.energy_per_op, 0.0);
-  EXPECT_LT(rep.energy_per_op, 10e-15);
-  EXPECT_GT(rep.tops_per_watt, 100.0);
+  const cim::EnergySummary energy = cim::measure_energy(prop, 27.0);
+  EXPECT_GT(energy.mean_energy_per_op, 0.0);
+  EXPECT_LT(energy.mean_energy_per_op, 10e-15);
+  EXPECT_GT(energy.tops_per_watt, 100.0);
   // >= 20C the margin improves (paper: NMR 0.22 -> 2.3).
-  EXPECT_GT(rep.nmr_min_2t_above_20c, rep.nmr_min_2t);
+  EXPECT_GT(nmr_min(prop, warm), nmr_prop);
 }
 
 TEST(Integration, CnnAccuracyStableOnProposedFabric) {
@@ -104,14 +145,6 @@ TEST(Integration, CnnAccuracyStableOnProposedFabric) {
   nn::CimDotEngine proposed_engine(proposed, hot);
   qnet.evaluate(test, proposed_engine, /*max_images=*/4);
   EXPECT_EQ(proposed_engine.row_errors(), 0);
-}
-
-TEST(Integration, CalibrationReportPrints) {
-  const cim::CalibrationReport rep = cim::run_calibration({0.0, 27.0, 85.0});
-  const std::string text = rep.to_string();
-  EXPECT_NE(text.find("fluctuation"), std::string::npos);
-  EXPECT_NE(text.find("NMR"), std::string::npos);
-  EXPECT_NE(text.find("TOPS/W"), std::string::npos);
 }
 
 }  // namespace

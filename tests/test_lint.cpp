@@ -1,8 +1,7 @@
 // Tests for the netlist static analyzer (src/lint): one positive and one
-// negative case per rule, the JSON report schema round-trip, the Engine
-// pre-flight gate, a sweep asserting every deck in examples/ lints clean,
-// and the fuzz cross-check (200 generated-valid decks draw zero
-// diagnostics).
+// negative case per rule, the JSON report schema round-trip, a sweep
+// asserting every deck in examples/ lints clean, and the fuzz cross-check
+// (200 generated-valid decks draw zero diagnostics).
 #include <algorithm>
 #include <filesystem>
 #include <optional>
@@ -16,10 +15,8 @@
 #include "lint/baseline.hpp"
 #include "lint/interval.hpp"
 #include "lint/linter.hpp"
-#include "lint/preflight.hpp"
 #include "lint/rules.hpp"
 #include "lint/sarif.hpp"
-#include "spice/engine.hpp"
 #include "spice/netlist.hpp"
 #include "spice/primitives.hpp"
 #include "verify/fuzz.hpp"
@@ -383,36 +380,6 @@ TEST(LintJson, SeverityNamesRoundTrip) {
     EXPECT_EQ(lint::severity_from_name(lint::severity_name(s)), s);
   }
   EXPECT_THROW(lint::severity_from_name("fatal"), std::runtime_error);
-}
-
-// ------------------------------------------------------------- preflight
-
-TEST(LintPreflight, EngineRejectsFloatingDeckBeforeSolving) {
-  const std::string deck =
-      "V1 a 0 1.0\nR1 a 0 10k\nI1 0 x 1u\nC1 x 0 1p\n.end\n";
-  spice::Circuit circuit;
-  const spice::NetlistDeck parsed = spice::parse_netlist(deck, circuit);
-  spice::Engine engine(circuit, parsed.temperature_c);
-  lint::install_preflight(engine, &parsed);
-  try {
-    engine.dc_operating_point();
-    FAIL() << "pre-flight gate should have fired";
-  } catch (const lint::PreflightError& e) {
-    EXPECT_TRUE(e.report().has_errors());
-    EXPECT_NE(std::string(e.what()).find("floating-node"), std::string::npos);
-  }
-  // The gate keeps rejecting on retry (a failing screen is not cached).
-  EXPECT_THROW(engine.dc_operating_point(), lint::PreflightError);
-}
-
-TEST(LintPreflight, CleanDeckSolvesNormally) {
-  const std::string deck = "V1 a 0 1.0\nR1 a b 47k\nR2 b 0 33k\n.end\n";
-  spice::Circuit circuit;
-  const spice::NetlistDeck parsed = spice::parse_netlist(deck, circuit);
-  spice::Engine engine(circuit, parsed.temperature_c);
-  lint::install_preflight(engine, &parsed);
-  const spice::DcResult op = engine.dc_operating_point();
-  EXPECT_NEAR(op.voltage("b"), 1.0 * 33.0 / 80.0, 1e-6);
 }
 
 // ------------------------------------------------- semantic passes

@@ -14,6 +14,7 @@
 #include "nn/cim_engine.hpp"
 #include "nn/trainer.hpp"
 #include "nn/vgg.hpp"
+#include "trace/trace.hpp"
 
 namespace sfc::nn {
 namespace {
@@ -243,6 +244,26 @@ TEST(CimEngine, RowOpsAccounting) {
   EXPECT_EQ(cim.row_ops(), 2LL * 2 * 8 * 7);
   cim.reset_counters();
   EXPECT_EQ(cim.row_ops(), 0);
+}
+
+TEST(CimEngine, TracedForwardRecordsSpansPerLayerNotPerBatch) {
+  // One image makes a dot_batch call per conv output pixel (over a
+  // thousand here); a traced forward must record a span per layer plus a
+  // constant, never one per call.
+  auto& f = fixture();
+  static const sfc::cim::BehavioralArrayModel model =
+      sfc::cim::BehavioralArrayModel::calibrate(
+          sfc::cim::ArrayConfig::proposed_2t1fefet(), {27.0});
+  CimDotEngine cim(model, {});
+  trace::Tracer& tracer = trace::Tracer::global();
+  tracer.start();
+  f.qnet.forward(f.test.images[0], cim);
+  tracer.stop();
+  const std::size_t layers = f.qnet.ops().size();
+  EXPECT_LE(tracer.event_count(), layers + 2);
+#if SFC_TRACE_ENABLED
+  EXPECT_GE(tracer.event_count(), layers);
+#endif
 }
 
 TEST(CimEngine, MiscountingArrayCorruptsDots) {

@@ -28,14 +28,6 @@ TEST(Units, CelsiusKelvinRoundTrip) {
   EXPECT_DOUBLE_EQ(celsius_to_kelvin(0.0), 273.15);
 }
 
-TEST(Units, Literals) {
-  using namespace literals;
-  EXPECT_DOUBLE_EQ(350.0_mV, 0.35);
-  EXPECT_DOUBLE_EQ(5.0_fF, 5e-15);
-  EXPECT_DOUBLE_EQ(200.0_ns, 2e-7);
-  EXPECT_DOUBLE_EQ(10.0_MOhm, 1e7);
-}
-
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) {
