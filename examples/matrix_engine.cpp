@@ -4,9 +4,10 @@
 //
 //   $ ./matrix_engine [rows] [columns]
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 
 #include "cim/tile.hpp"
+#include "exec/parallel.hpp"
 #include "util/plot.hpp"
 #include "util/rng.hpp"
 
@@ -14,13 +15,20 @@ int main(int argc, char** argv) {
   using namespace sfc;
   using namespace sfc::cim;
 
-  int rows = 4;
-  int columns = 16;
-  if (argc > 1) rows = std::atoi(argv[1]);
-  if (argc > 2) columns = std::atoi(argv[2]);
-  if (rows < 1 || rows > 16 || columns < 1 || columns > 64) {
-    std::fprintf(stderr, "usage: %s [rows<=16] [columns<=64]\n", argv[0]);
-    return 1;
+  // Positional operands in [1, max]; 0 marks a malformed one.
+  const auto operand = [&](int index, int fallback, int max) {
+    if (argc <= index) return fallback;
+    const auto parsed = exec::parse_uint(argv[index]);
+    return parsed && *parsed <= static_cast<std::uint64_t>(max)
+               ? static_cast<int>(*parsed)
+               : 0;
+  };
+  const int rows = operand(1, 4, 16);
+  const int columns = operand(2, 16, 64);
+  if (argc > 3 || rows < 1 || columns < 1) {
+    std::fprintf(stderr, "usage: %s [rows in 1..16] [columns in 1..64]\n",
+                 argv[0]);
+    return 2;
   }
 
   util::Rng rng(99);

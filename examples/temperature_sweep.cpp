@@ -5,19 +5,22 @@
 //
 //   $ ./temperature_sweep [n_cells]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "cim/mac.hpp"
+#include "exec/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace sfc::cim;
 
   int cells = 8;
-  if (argc > 1) cells = std::atoi(argv[1]);
-  if (cells < 1 || cells > 16) {
+  if (argc > 1) {
+    const auto parsed = sfc::exec::parse_uint(argv[1]);
+    cells = parsed && *parsed <= 16 ? static_cast<int>(*parsed) : 0;
+  }
+  if (argc > 2 || cells < 1) {
     std::fprintf(stderr, "usage: %s [n_cells in 1..16]\n", argv[0]);
-    return 1;
+    return 2;
   }
 
   const std::vector<double> temps = {0.0, 20.0, 27.0, 55.0, 85.0};

@@ -72,6 +72,22 @@ step "solver benchmark smoke + JSON schema validation (traced)"
   --metrics "${BUILD_DIR}/metrics_smoke.json"
 "${BUILD_DIR}/tools/verify_runner" check-bench "${BUILD_DIR}/BENCH_solver.json" \
   --keys tests/goldens/bench_solver_keys.json
+# Same-bits gate: every kernel's Newton iteration and LU factorisation
+# counts must equal the tracked BENCH_solver.json. A change that moves them
+# changes solver results, and has to say so by regenerating that file.
+python3 - "${BUILD_DIR}/BENCH_solver.json" BENCH_solver.json <<'PY'
+import json, sys
+def counts(path):
+    with open(path) as f:
+        return {k["name"]: (k["newton_iterations"], k["lu_factorizations"])
+                for k in json.load(f)["kernels"]}
+run, tracked = counts(sys.argv[1]), counts(sys.argv[2])
+if run != tracked:
+    sys.exit(f"solver counts (newton_iterations, lu_factorizations) differ "
+             f"from the tracked BENCH_solver.json:\n  run:     {run}\n"
+             f"  tracked: {tracked}")
+print(f"solver counts equal the tracked BENCH_solver.json: {run}")
+PY
 # Key-set stability gate: the deterministic counter/histogram names a smoke
 # run registers must match the reviewed golden — silent instrumentation
 # drift in the solver hot path fails the tree.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 
 namespace sfc::exec {
 
@@ -21,13 +22,22 @@ std::size_t ExecPolicy::resolved_chunk(std::size_t n, int threads_used) const {
   return std::max<std::size_t>(1, n / (workers * 4));
 }
 
-std::optional<int> parse_thread_count(std::string_view text) {
+std::optional<std::uint64_t> parse_uint(std::string_view text) {
   if (text.starts_with('-')) return std::nullopt;  // also "-0"
-  int value = 0;
+  std::uint64_t value = 0;
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc() || ptr != end) return std::nullopt;
   return value;
+}
+
+std::optional<int> parse_thread_count(std::string_view text) {
+  const std::optional<std::uint64_t> value = parse_uint(text);
+  if (!value || *value > static_cast<std::uint64_t>(
+                              std::numeric_limits<int>::max())) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*value);
 }
 
 double JobReport::task_ms_total() const {

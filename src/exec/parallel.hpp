@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -41,7 +42,6 @@ struct ExecPolicy {
   int chunk = 0;
 
   static ExecPolicy serial() { return {}; }
-  static ExecPolicy max_parallel() { return {0, 0}; }
 
   /// Threads a job over `n` tasks will actually use.
   int resolved_threads(std::size_t n) const;
@@ -49,9 +49,14 @@ struct ExecPolicy {
   std::size_t resolved_chunk(std::size_t n, int threads_used) const;
 };
 
-/// Parse a `--threads` operand: one whole-token non-negative decimal
-/// integer (0 = one worker per hardware thread). Anything else ("", "abc",
-/// "-1", "-0", "+2", "4x", " 4", or a value that overflows int) is nullopt.
+/// Parse an integer command-line operand: one whole-token non-negative
+/// decimal integer. Anything else ("", "abc", "-1", "-0", "+2", "4x",
+/// " 4", or a value that overflows uint64) is nullopt. Every integer flag
+/// and positional argument of the benches, tools and examples uses it.
+std::optional<std::uint64_t> parse_uint(std::string_view text);
+
+/// Parse a `--threads` operand: parse_uint() within int range (0 = one
+/// worker per hardware thread).
 std::optional<int> parse_thread_count(std::string_view text);
 
 /// What a fan-out did: wall time of the whole job, wall time of every

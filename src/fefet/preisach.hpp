@@ -70,8 +70,10 @@ class PreisachModel {
   /// (the limit of a very long pulse). Used for hysteresis-loop tracing.
   void apply_quasistatic(double volts, double temperature_c);
 
-  /// Mean normalized polarization in [-1, +1].
-  double polarization() const;
+  /// Mean normalized polarization in [-1, +1]. Cached: every mutator
+  /// recomputes it, in domain order, so reads are free and bit-identical
+  /// to summing the domains.
+  double polarization() const { return polarization_; }
 
   /// Effective threshold voltage contributed by the ferroelectric at the
   /// given temperature [V].
@@ -113,6 +115,10 @@ class PreisachModel {
   PreisachParams p_;
   std::vector<double> vc_;     ///< per-domain coercive voltage at t_nominal
   std::vector<double> state_;  ///< per-domain dipole in [-1, +1]
+  double polarization_ = 0.0;  ///< mean of state_, see update_polarization()
+
+  /// Recompute polarization_ from state_; the end of every mutator.
+  void update_polarization();
 };
 
 }  // namespace sfc::fefet

@@ -108,10 +108,6 @@ class CimDotEngine final : public DotEngine {
   std::int64_t row_ops() const { return row_ops_; }
   /// Row ops where the decoded MAC differed from the true count.
   std::int64_t row_errors() const { return row_errors_; }
-  void reset_counters() {
-    row_ops_ = 0;
-    row_errors_ = 0;
-  }
 
   double temperature_c() const { return opts_.temperature_c; }
 

@@ -1,11 +1,29 @@
 #include "spice/device.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace sfc::spice {
 
-// Stamper is fully inline in device.hpp (Newton hot path); only the AC
-// facade lives here.
+// Stamper is inline in device.hpp (Newton hot path) apart from its error
+// path; the AC facade lives here.
+
+void Stamper::record_or_overrun(int key) {
+  if (keys_) {
+    keys_->push_back(key);
+  } else {
+    ++cursor_;
+  }
+}
+
+void Stamper::throw_sequence_mismatch() const {
+  throw std::logic_error(
+      "Stamper: a stamp pass made " + std::to_string(cursor_) +
+      " matrix writes where " + std::to_string(tape_size_) +
+      " were recorded; a device changed its stamp sequence within one "
+      "analysis mode");
+}
 
 AcStamper::AcStamper(ComplexMatrix& a, std::vector<Scalar>& b,
                      const std::vector<double>& dc_x, std::size_t num_nodes,

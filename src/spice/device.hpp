@@ -44,19 +44,52 @@ struct SimContext {
 };
 
 /// Assembly facade: devices only see stamping primitives, never the matrix
-/// layout. Rows/cols: nodes first, then auxiliary variables. All methods
-/// are inline — stamping sits on the Newton hot path.
+/// layout. Rows/cols: nodes first, then auxiliary variables. The write
+/// path is inline — stamping sits on the Newton hot path.
+///
+/// Matrix entries are addressed by slot. A Stamper either records or
+/// writes:
+///  - record mode appends the key row * size + col (flat row-major, size =
+///    b.size()) of every add_matrix call to `keys`, in call order, and
+///    writes no matrix;
+///  - write mode accumulates the k-th add_matrix call of the pass into
+///    values[tape[k]]. The engine's tapes resolve each recorded call to a
+///    slot of its compact pattern; a dense n x n reference passes the
+///    recorded keys themselves as the tape.
+/// add_rhs writes b in both modes.
 class Stamper {
  public:
-  Stamper(DenseMatrix& a, std::vector<double>& b,
-          const std::vector<double>& x, std::size_t num_nodes)
-      : a_(a), b_(b), x_(x), num_nodes_(num_nodes) {}
+  /// Write mode. `slot_keys[slot]` is the key stored in each slot (the
+  /// engine's pattern), or nullptr when slots are keys; debug builds check
+  /// every call against it.
+  Stamper(double* values, const std::vector<int>& tape, const int* slot_keys,
+          std::vector<double>& b, const std::vector<double>& x,
+          std::size_t num_nodes)
+      : values_(values),
+        tape_(tape.data()),
+        tape_size_(tape.size()),
+        slot_keys_(slot_keys),
+        b_(b),
+        x_(x),
+        num_nodes_(num_nodes),
+        dim_(static_cast<int>(b.size())) {}
 
-  /// Append the flat row-major index of every stamped matrix entry to
-  /// `pattern` (repeats included). The engine runs one recording pass per
-  /// circuit/analysis mode to learn the structural sparsity its sparse LU
-  /// relies on.
-  void record_pattern(std::vector<int>* pattern) { pattern_ = pattern; }
+  /// Record mode: collect the key of every add_matrix call in `keys`.
+  Stamper(std::vector<int>& keys, std::vector<double>& b,
+          const std::vector<double>& x, std::size_t num_nodes)
+      : keys_(&keys),
+        b_(b),
+        x_(x),
+        num_nodes_(num_nodes),
+        dim_(static_cast<int>(b.size())) {}
+
+  /// End of a write pass: throws std::logic_error unless the pass made
+  /// exactly as many add_matrix calls as its tape records — a device
+  /// changed its stamp sequence within one analysis mode, and the slots
+  /// no longer line up with the entries.
+  void finish() const {
+    if (cursor_ != tape_size_) throw_sequence_mismatch();
+  }
 
   /// Debug guard for the stamp-plan baseline: devices claiming
   /// Device::is_linear() must not read the Newton iterate, so v()/aux()
@@ -114,11 +147,14 @@ class Stamper {
   }
   void add_matrix(int row, int col, double value) {
     if (row < 0 || col < 0) return;  // ground row/col dropped
-    if (pattern_) {
-      pattern_->push_back(row * static_cast<int>(a_.cols()) + col);
+    if (cursor_ < tape_size_) [[likely]] {
+      const int slot = tape_[cursor_++];
+      assert((slot_keys_ ? slot_keys_[slot] : slot) == row * dim_ + col &&
+             "stamp sequence differs from the recorded one");
+      values_[slot] += value;
+    } else {
+      record_or_overrun(row * dim_ + col);
     }
-    a_.at(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) +=
-        value;
   }
   void add_rhs(int row, double value) {
     if (row < 0) return;
@@ -126,11 +162,22 @@ class Stamper {
   }
 
  private:
-  DenseMatrix& a_;
+  /// Out of line so add_matrix's tape path stays small enough to inline:
+  /// record mode appends `key`; a write pass that ran past its tape counts
+  /// the call for finish() to report.
+  void record_or_overrun(int key);
+  [[noreturn]] void throw_sequence_mismatch() const;
+
+  double* values_ = nullptr;
+  const int* tape_ = nullptr;
+  std::size_t tape_size_ = 0;
+  std::size_t cursor_ = 0;
+  const int* slot_keys_ = nullptr;
+  std::vector<int>* keys_ = nullptr;
   std::vector<double>& b_;
   const std::vector<double>& x_;
   std::size_t num_nodes_;
-  std::vector<int>* pattern_ = nullptr;
+  int dim_;
   bool forbid_iterate_reads_ = false;
 };
 

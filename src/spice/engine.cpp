@@ -49,8 +49,6 @@ SolverWorkspace& Engine::prepare_workspace(const SimContext& ctx) {
     return ws;
   }
   SFC_TRACE_COUNT("spice.stampplan.compiles", 1);
-  ws.a = DenseMatrix(size, size);
-  ws.a_base = DenseMatrix(size, size);
   ws.b.assign(size, 0.0);
   ws.b_base.assign(size, 0.0);
   ws.x_new.assign(size, 0.0);
@@ -62,79 +60,117 @@ SolverWorkspace& Engine::prepare_workspace(const SimContext& ctx) {
   return ws;
 }
 
+namespace {
+
+/// Keys of the add_matrix calls `devices` make when stamped at `x`, in
+/// call order. The recorder writes only `b`.
+std::vector<int> record_keys(const std::vector<Device*>& devices,
+                             const SimContext& ctx,
+                             const std::vector<double>& x,
+                             std::vector<double>& b, std::size_t num_nodes,
+                             bool linear) {
+  std::vector<int> keys;
+  Stamper recorder(keys, b, x, num_nodes);
+#ifndef NDEBUG
+  recorder.forbid_iterate_reads(linear);
+#else
+  (void)linear;
+#endif
+  for (Device* dev : devices) dev->stamp(ctx, recorder);
+  return keys;
+}
+
+/// Turn a recorded key sequence into a tape: replace each key by its slot
+/// in the sorted pattern.
+void keys_to_slots(const std::vector<int>& pattern, std::vector<int>& keys) {
+  for (int& key : keys) {
+    const auto it = std::lower_bound(pattern.begin(), pattern.end(), key);
+    assert(it != pattern.end() && *it == key);
+    key = static_cast<int>(it - pattern.begin());
+  }
+}
+
+/// Record pass of a fresh workspace: stamp every device in record mode at
+/// `x`, build the pattern and resolve the tapes and gmin slots.
+void record_stamp_plan(const Circuit& circuit, const SimContext& ctx,
+                       const std::vector<double>& x, SolverWorkspace& ws) {
+  const std::size_t num_nodes = circuit.num_nodes();
+  // ws.b is scratch here: every iteration overwrites it.
+  ws.linear_tape = record_keys(circuit.linear_devices(), ctx, x, ws.b,
+                               num_nodes, /*linear=*/true);
+  ws.nonlinear_tape = record_keys(circuit.nonlinear_devices(), ctx, x, ws.b,
+                                  num_nodes, /*linear=*/false);
+  ws.gmin_slots.resize(num_nodes);
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    ws.gmin_slots[n] = static_cast<int>(n * ws.size + n);
+  }
+  std::vector<int>* const tapes[] = {&ws.linear_tape, &ws.nonlinear_tape,
+                                     &ws.gmin_slots};
+  ws.pattern.clear();
+  for (const std::vector<int>* keys : tapes) {
+    ws.pattern.insert(ws.pattern.end(), keys->begin(), keys->end());
+  }
+  std::sort(ws.pattern.begin(), ws.pattern.end());
+  ws.pattern.erase(std::unique(ws.pattern.begin(), ws.pattern.end()),
+                   ws.pattern.end());
+  for (std::vector<int>* keys : tapes) keys_to_slots(ws.pattern, *keys);
+  ws.values.assign(ws.pattern.size(), 0.0);
+  ws.values_base.assign(ws.pattern.size(), 0.0);
+}
+
+}  // namespace
+
 bool Engine::newton_solve(const SimContext& ctx, std::vector<double>& x,
                           const NewtonOptions& options, int* iterations_out) {
-  SFC_TRACE_SPAN("spice.newton_solve");
   circuit_.finalize();
   SolverWorkspace& ws = prepare_workspace(ctx);
-  const std::size_t size = ws.size;
   const std::size_t num_nodes = circuit_.num_nodes();
-
-  // The first solve of a workspace records the structural pattern: every
-  // entry any stamp touches.
-  bool recording = ws.pattern.empty();
+  if (ws.pattern.empty()) record_stamp_plan(circuit_, ctx, x, ws);
 
   // Baseline: linear stamps + gmin, valid for the whole solve. Linear
   // devices may not read the Newton iterate (Device::is_linear contract),
   // so it is legal to build this before x has converged.
-  ws.a_base.set_zero();
+  std::fill(ws.values_base.begin(), ws.values_base.end(), 0.0);
   std::fill(ws.b_base.begin(), ws.b_base.end(), 0.0);
   {
-    Stamper stamper(ws.a_base, ws.b_base, x, num_nodes);
-    if (recording) stamper.record_pattern(&ws.pattern);
+    Stamper stamper(ws.values_base.data(), ws.linear_tape, ws.pattern.data(),
+                    ws.b_base, x, num_nodes);
 #ifndef NDEBUG
     stamper.forbid_iterate_reads(true);
 #endif
     for (Device* dev : circuit_.linear_devices()) {
       dev->stamp(ctx, stamper);
     }
+    stamper.finish();
   }
   // gmin from every node to ground keeps the matrix nonsingular when
   // subthreshold devices are effectively off.
-  for (std::size_t n = 0; n < num_nodes; ++n) {
-    ws.a_base.at(n, n) += ctx.gmin;
-    if (recording) ws.pattern.push_back(static_cast<int>(n * size + n));
-  }
+  for (const int slot : ws.gmin_slots) ws.values_base[slot] += ctx.gmin;
 
-  // Restore the baseline and restamp only the nonlinear devices. The LU
-  // never writes `a` and stamps land inside the pattern, so restoring the
-  // pattern entries equals a full copy.
-  const auto restamp = [&]() {
-    if (recording) {
-      ws.a = ws.a_base;
-    } else {
-      const double* src = ws.a_base.data();
-      double* dst = ws.a.data();
-      for (const int idx : ws.pattern) dst[idx] = src[idx];
-    }
-    std::copy(ws.b_base.begin(), ws.b_base.end(), ws.b.begin());
-    Stamper stamper(ws.a, ws.b, x, num_nodes);
-    if (recording) stamper.record_pattern(&ws.pattern);
-    for (Device* dev : circuit_.nonlinear_devices()) {
-      dev->stamp(ctx, stamper);
-    }
-    if (recording) {
-      std::sort(ws.pattern.begin(), ws.pattern.end());
-      ws.pattern.erase(std::unique(ws.pattern.begin(), ws.pattern.end()),
-                       ws.pattern.end());
-      recording = false;
-    }
-    ws.x_new.assign(ws.b.begin(), ws.b.end());
-  };
-
+  // Each iteration restores the baseline and restamps only the nonlinear
+  // devices.
   const std::size_t refreezes_before = ws.plan.refreeze_count();
   int iters = 0;
   bool ok = false;
   while (iters < options.max_iterations) {
-    restamp();
+    std::copy(ws.values_base.begin(), ws.values_base.end(), ws.values.begin());
+    std::copy(ws.b_base.begin(), ws.b_base.end(), ws.b.begin());
+    {
+      Stamper stamper(ws.values.data(), ws.nonlinear_tape, ws.pattern.data(),
+                      ws.b, x, num_nodes);
+      for (Device* dev : circuit_.nonlinear_devices()) {
+        dev->stamp(ctx, stamper);
+      }
+      stamper.finish();
+    }
+    std::copy(ws.b.begin(), ws.b.end(), ws.x_new.begin());
     ++iters;
-    if (!ws.plan.solve(ws.a, ws.pattern, ws.x_new)) break;
+    if (!ws.plan.solve(ws.values, ws.pattern, ws.x_new)) break;
     if (apply_update(x, ws.x_new, options) && iters > 1) {
       ok = true;
       break;
     }
   }
-  if (recording) ws.pattern.clear();  // no iteration ran to finish it
   if (iterations_out) *iterations_out = iters;
   // Counted on every solve, re-order or not, so the counter is always
   // registered and the metrics key set does not depend on the data.
@@ -144,6 +180,28 @@ bool Engine::newton_solve(const SimContext& ctx, std::vector<double>& x,
   SFC_TRACE_COUNT("spice.newton.iterations", iters);
   if (!ok) SFC_TRACE_COUNT("spice.newton.failures", 1);
   return ok;
+}
+
+void assemble_dense(const Circuit& circuit, const SimContext& ctx,
+                    const std::vector<double>& x, DenseMatrix& a,
+                    std::vector<double>& b) {
+  const std::size_t size = circuit.system_size();
+  const std::size_t num_nodes = circuit.num_nodes();
+  a = DenseMatrix(size, size);
+  b.assign(size, 0.0);
+  // Each pass's recorded keys are its tape: slot = flat index into `a`.
+  const std::vector<int> linear_keys = record_keys(
+      circuit.linear_devices(), ctx, x, b, num_nodes, /*linear=*/true);
+  const std::vector<int> nonlinear_keys = record_keys(
+      circuit.nonlinear_devices(), ctx, x, b, num_nodes, /*linear=*/false);
+  b.assign(size, 0.0);
+  Stamper linear(a.data(), linear_keys, nullptr, b, x, num_nodes);
+  for (Device* dev : circuit.linear_devices()) dev->stamp(ctx, linear);
+  linear.finish();
+  for (std::size_t n = 0; n < num_nodes; ++n) a.at(n, n) += ctx.gmin;
+  Stamper nonlinear(a.data(), nonlinear_keys, nullptr, b, x, num_nodes);
+  for (Device* dev : circuit.nonlinear_devices()) dev->stamp(ctx, nonlinear);
+  nonlinear.finish();
 }
 
 DcResult Engine::dc_operating_point(const NewtonOptions& options,

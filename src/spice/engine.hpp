@@ -28,25 +28,42 @@ struct NewtonOptions {
   double gmin_step_factor = 10.0;
 };
 
-/// Reusable per-Engine solver buffers: the Newton system, the cached
-/// linear baseline, the structural stamp pattern and the sparse LU plan.
-/// Sized lazily on first use and invalidated when the system size,
-/// analysis mode, or circuit plan version changes. After a solve, (a, b)
-/// hold the last assembled Newton system and x_new its solution.
+/// Reusable per-Engine solver buffers. The Newton matrix is held compactly,
+/// one value per structural nonzero: values[i] is the entry at the flat
+/// row-major index pattern[i]. The first solve of a workspace records
+/// every add_matrix call the devices make and resolves each one to its
+/// slot, once, in two tapes (linear and nonlinear devices), plus the gmin
+/// diagonal; later solves stamp straight into the slots. Memory is
+/// O(nnz + stamp calls). Sized lazily on first use and invalidated when
+/// the system size, analysis mode, or circuit plan version changes. After
+/// a solve, (values, b) hold the last assembled Newton system and x_new
+/// its solution.
 struct SolverWorkspace {
-  DenseMatrix a;              ///< working matrix (the LU never writes it)
-  DenseMatrix a_base;         ///< linear stamps + gmin baseline
-  std::vector<double> b;      ///< working RHS
-  std::vector<double> b_base; ///< linear-stamp RHS baseline
-  std::vector<double> x_new;  ///< solve target / Newton update
-  /// Structural nonzeros: sorted flat row-major indices into a (empty
-  /// until the first solve records them).
+  std::vector<double> values;       ///< working matrix (the LU never writes it)
+  std::vector<double> values_base;  ///< linear stamps + gmin baseline
+  std::vector<double> b;            ///< working RHS
+  std::vector<double> b_base;       ///< linear-stamp RHS baseline
+  std::vector<double> x_new;        ///< solve target / Newton update
+  /// Structural nonzeros: sorted flat row-major indices (empty until the
+  /// first solve records them).
   std::vector<int> pattern;
+  std::vector<int> linear_tape;     ///< slot of each linear-device call
+  std::vector<int> nonlinear_tape;  ///< slot of each nonlinear-device call
+  std::vector<int> gmin_slots;      ///< slot of each node's diagonal
   LuPlan plan;
   std::size_t size = 0;
   AnalysisMode mode = AnalysisMode::kDcOperatingPoint;
   std::uint64_t plan_version = 0;
 };
+
+/// Reference assembly of the whole Newton system at `x` into a dense n x n
+/// matrix `a` (zeroed here) and `b`: the engine's order (linear devices,
+/// gmin, nonlinear devices) through the Stamper write path with slot =
+/// flat row-major index, so every entry is summed exactly as in the
+/// engine's compact values. The circuit must be finalized.
+void assemble_dense(const Circuit& circuit, const SimContext& ctx,
+                    const std::vector<double>& x, DenseMatrix& a,
+                    std::vector<double>& b);
 
 struct TransientOptions {
   /// Nominal time step [s]. The engine shortens steps to hit waveform

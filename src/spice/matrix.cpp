@@ -77,13 +77,23 @@ bool lu_solve(ComplexMatrix& a, std::vector<std::complex<double>>& b) {
   return lu_core(a, b);
 }
 
-bool LuPlan::solve(const DenseMatrix& a, const std::vector<int>& pattern,
-                   std::vector<double>& x) {
-  const std::size_t n = a.rows();
-  assert(a.cols() == n && x.size() == n);
-  if (!valid() || !factor(a)) {
+DenseMatrix dense_from_compact(std::size_t n, const std::vector<int>& pattern,
+                               const std::vector<double>& values) {
+  assert(values.size() == pattern.size());
+  DenseMatrix a(n, n);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    a.data()[pattern[i]] = values[i];
+  }
+  return a;
+}
+
+bool LuPlan::solve(const std::vector<double>& values,
+                   const std::vector<int>& pattern, std::vector<double>& x) {
+  const std::size_t n = x.size();
+  assert(values.size() == pattern.size());
+  if (!valid() || !factor(values)) {
     if (valid()) ++refreezes_;
-    if (!choose_order(a, pattern) || !factor(a)) {
+    if (!choose_order(values, pattern, n) || !factor(values)) {
       reset();
       return false;
     }
@@ -115,10 +125,9 @@ bool LuPlan::solve(const DenseMatrix& a, const std::vector<int>& pattern,
   return true;
 }
 
-bool LuPlan::factor(const DenseMatrix& a) {
-  std::fill(vals_.begin(), vals_.end(), 0.0);
-  const double* src = a.data();
-  for (const Gather& g : gather_) vals_[g.dst] = src[g.src];
+bool LuPlan::factor(const std::vector<double>& values) {
+  for (const int p : fill_) vals_[p] = 0.0;
+  for (std::size_t i = 0; i < gather_.size(); ++i) vals_[gather_[i]] = values[i];
 
   double* v = vals_.data();
   const int* dst = op_dst_.data();
@@ -147,23 +156,22 @@ bool LuPlan::factor(const DenseMatrix& a) {
   return true;
 }
 
-bool LuPlan::choose_order(const DenseMatrix& a,
-                          const std::vector<int>& pattern) {
+bool LuPlan::choose_order(const std::vector<double>& values,
+                          const std::vector<int>& pattern, std::size_t n) {
   SFC_TRACE_COUNT("spice.lu.factorizations", 1);
   reset();
-  const std::size_t n = a.rows();
   row_of_.assign(n, 0);
   col_of_.assign(n, 0);
 
-  // Markowitz elimination on a dense scratch copy. `s` tracks structure:
+  // Markowitz elimination on a scratch copy. `slot` maps every flat index
+  // to its entry in `w` (-1 = structurally zero); it tracks structure:
   // fill is recorded whenever it is possible, whatever its value, so the
   // compiled schedule holds for every matrix with this pattern.
-  std::vector<char> s(n * n, 0);
+  std::vector<int> slot(n * n, -1);
   {
-    std::vector<double> w(n * n, 0.0);
-    for (const int e : pattern) {
-      s[static_cast<std::size_t>(e)] = 1;
-      w[static_cast<std::size_t>(e)] = a.data()[e];
+    std::vector<double> w(values);
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+      slot[static_cast<std::size_t>(pattern[i])] = static_cast<int>(i);
     }
     std::vector<std::size_t> rows(n), cols(n);  // active rows / columns
     for (std::size_t i = 0; i < n; ++i) rows[i] = cols[i] = i;
@@ -175,10 +183,11 @@ bool LuPlan::choose_order(const DenseMatrix& a,
       std::fill(col_max.begin(), col_max.end(), 0.0);
       for (const std::size_t r : rows) {
         for (const std::size_t c : cols) {
-          if (!s[r * n + c]) continue;
+          const int e = slot[r * n + c];
+          if (e < 0) continue;
           ++row_count[r];
           ++col_count[c];
-          col_max[c] = std::max(col_max[c], std::fabs(w[r * n + c]));
+          col_max[c] = std::max(col_max[c], std::fabs(w[e]));
         }
       }
       // Lowest Markowitz cost; ties go to the entry largest relative to
@@ -190,8 +199,9 @@ bool LuPlan::choose_order(const DenseMatrix& a,
         const std::size_t r = rows[ri];
         for (std::size_t ci = 0; ci < cols.size(); ++ci) {
           const std::size_t c = cols[ci];
-          if (!s[r * n + c]) continue;
-          const double mag = std::fabs(w[r * n + c]);
+          const int e = slot[r * n + c];
+          if (e < 0) continue;
+          const double mag = std::fabs(w[e]);
           if (!(mag >= kPivotThreshold * col_max[c] && mag >= kTinyPivot)) {
             continue;
           }
@@ -214,15 +224,20 @@ bool LuPlan::choose_order(const DenseMatrix& a,
       rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(best_ri));
       cols.erase(cols.begin() + static_cast<std::ptrdiff_t>(best_ci));
 
-      const double* prow = w.data() + best_r * n;
-      const char* psrow = s.data() + best_r * n;
+      const int* prow = slot.data() + best_r * n;
+      const double pivot = w[prow[best_c]];
       for (const std::size_t r : rows) {
-        if (!s[r * n + best_c]) continue;
-        const double f = w[r * n + best_c] / prow[best_c];
+        const int e_rc = slot[r * n + best_c];
+        if (e_rc < 0) continue;
+        const double f = w[e_rc] / pivot;
         for (const std::size_t c : cols) {
-          if (!psrow[c]) continue;
-          s[r * n + c] = 1;
-          w[r * n + c] -= f * prow[c];
+          if (prow[c] < 0) continue;
+          int& e = slot[r * n + c];
+          if (e < 0) {  // fill
+            e = static_cast<int>(w.size());
+            w.push_back(0.0);
+          }
+          w[e] -= f * w[prow[c]];
         }
       }
     }
@@ -244,13 +259,13 @@ bool LuPlan::choose_order(const DenseMatrix& a,
     pos[at(pr, pc)] = start_[k];
     idx_.push_back(static_cast<int>(k));
     for (std::size_t i = k + 1; i < n; ++i) {
-      if (!s[at(row_of_[i], pc)]) continue;
+      if (slot[at(row_of_[i], pc)] < 0) continue;
       pos[at(row_of_[i], pc)] = static_cast<int>(idx_.size());
       idx_.push_back(static_cast<int>(i));
     }
     ustart_[k] = static_cast<int>(idx_.size());
     for (std::size_t j = k + 1; j < n; ++j) {
-      if (!s[at(pr, col_of_[j])]) continue;
+      if (slot[at(pr, col_of_[j])] < 0) continue;
       pos[at(pr, col_of_[j])] = static_cast<int>(idx_.size());
       idx_.push_back(static_cast<int>(j));
     }
@@ -258,8 +273,12 @@ bool LuPlan::choose_order(const DenseMatrix& a,
   start_[n] = static_cast<int>(idx_.size());
 
   gather_.clear();
-  for (const int e : pattern) {
-    gather_.push_back({e, pos[static_cast<std::size_t>(e)]});
+  for (const int e : pattern) gather_.push_back(pos[static_cast<std::size_t>(e)]);
+  std::vector<char> gathered(idx_.size(), 0);
+  for (const int p : gather_) gathered[static_cast<std::size_t>(p)] = 1;
+  fill_.clear();
+  for (std::size_t p = 0; p < idx_.size(); ++p) {
+    if (!gathered[p]) fill_.push_back(static_cast<int>(p));
   }
   op_dst_.clear();
   for (std::size_t k = 0; k < n; ++k) {

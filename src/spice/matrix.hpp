@@ -55,27 +55,34 @@ bool lu_solve(DenseMatrix& a, std::vector<double>& b);
 /// Complex LU with partial pivoting; A and b are overwritten.
 bool lu_solve(ComplexMatrix& a, std::vector<std::complex<double>>& b);
 
+/// Dense n x n copy of a compact system: values[i] at the flat row-major
+/// index pattern[i], zero elsewhere. The sparse-vs-dense oracles solve this
+/// view with lu_solve.
+DenseMatrix dense_from_compact(std::size_t n, const std::vector<int>& pattern,
+                               const std::vector<double>& values);
+
 /// Static-pivot sparse LU. The first solve() picks a pivot order by
 /// Markowitz cost among entries at least 0.1 x their column maximum
 /// (threshold partial pivoting), compiles the symbolic elimination for
 /// that order — fill included — and every later solve() refactors with
 /// those pivots. The order is re-chosen only when a replayed pivot falls
 /// below 1e-6 x its column maximum (see refreeze_count()). Factors are
-/// stored compactly at pattern-plus-fill positions and the input matrix is
-/// never written. Results agree with lu_solve() to rounding, not bitwise;
-/// a given sequence of inputs always produces the same bits.
+/// stored compactly at pattern-plus-fill positions and the input values
+/// are never written. Results agree with lu_solve() to rounding, not
+/// bitwise; a given sequence of inputs always produces the same bits.
 class LuPlan {
  public:
   bool valid() const { return n_ > 0; }
   void reset() { n_ = 0; }
 
-  /// Solve A x = b; `x` holds b on entry and the solution on return.
-  /// `pattern` lists the flat row-major indices of every entry of A that
-  /// can be nonzero; entries outside it must be exactly zero in every
-  /// matrix solved with this plan. It is read only when an order is
-  /// chosen. Returns false (plan invalidated) when A is numerically
+  /// Solve A x = b; `x` holds b on entry and the solution on return, and
+  /// its size is the system size. A is given compactly: `pattern` lists
+  /// the sorted flat row-major indices of every entry that can be nonzero
+  /// and values[i] is the entry at pattern[i]; entries outside the pattern
+  /// are zero. A plan serves one pattern: it is read only when an order
+  /// is chosen. Returns false (plan invalidated) when A is numerically
   /// singular.
-  bool solve(const DenseMatrix& a, const std::vector<int>& pattern,
+  bool solve(const std::vector<double>& values, const std::vector<int>& pattern,
              std::vector<double>& x);
 
   /// Multiply-adds of one numeric factorization under the current order
@@ -88,15 +95,11 @@ class LuPlan {
 
  private:
   /// Markowitz search plus symbolic elimination; false when singular.
-  bool choose_order(const DenseMatrix& a, const std::vector<int>& pattern);
+  bool choose_order(const std::vector<double>& values,
+                    const std::vector<int>& pattern, std::size_t n);
   /// Numeric refactorization under the compiled order; false when a pivot
   /// fails the replay threshold.
-  bool factor(const DenseMatrix& a);
-
-  struct Gather {
-    int src;  ///< flat index into the dense input
-    int dst;  ///< position in vals_
-  };
+  bool factor(const std::vector<double>& values);
 
   std::size_t n_ = 0;
   std::size_t refreezes_ = 0;
@@ -110,7 +113,8 @@ class LuPlan {
   std::vector<int> ustart_;
   std::vector<int> idx_;
   std::vector<double> vals_;
-  std::vector<Gather> gather_;  ///< pattern entries -> vals_
+  std::vector<int> gather_;  ///< position in vals_ of each pattern entry
+  std::vector<int> fill_;    ///< positions of vals_ outside the pattern
   /// Target of every multiply-add, in elimination order (fill included).
   std::vector<int> op_dst_;
   std::vector<double> y_;  ///< permuted right-hand side scratch

@@ -67,21 +67,6 @@ double AcResult::phase_deg(const std::string& signal, std::size_t idx) const {
   return std::arg(value(signal, idx)) * 180.0 / M_PI;
 }
 
-double AcResult::bandwidth_3db(const std::string& signal) const {
-  if (freqs_.empty()) return 0.0;
-  const double ref_db = magnitude_db(signal, 0);
-  for (std::size_t i = 1; i < freqs_.size(); ++i) {
-    if (magnitude_db(signal, i) <= ref_db - 3.0) {
-      // Log-interpolate the crossing between i-1 and i.
-      const double d0 = magnitude_db(signal, i - 1) - (ref_db - 3.0);
-      const double d1 = magnitude_db(signal, i) - (ref_db - 3.0);
-      const double t = d0 / (d0 - d1);
-      return freqs_[i - 1] * std::pow(freqs_[i] / freqs_[i - 1], t);
-    }
-  }
-  return 0.0;
-}
-
 void TransientResult::set_signal_names(std::vector<std::string> names) {
   names_ = std::move(names);
   name_index_.clear();

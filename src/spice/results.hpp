@@ -49,10 +49,6 @@ class AcResult {
   /// Phase in degrees.
   double phase_deg(const std::string& signal, std::size_t idx) const;
 
-  /// -3 dB bandwidth relative to the first point's magnitude; returns 0
-  /// if the response never drops 3 dB within the sweep.
-  double bandwidth_3db(const std::string& signal) const;
-
  private:
   std::size_t index_of(const std::string& signal) const;
 

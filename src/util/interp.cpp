@@ -31,16 +31,6 @@ double PiecewiseLinear::operator()(double x) const {
   return lerp(x, lo.first, lo.second, hi.first, hi.second);
 }
 
-double PiecewiseLinear::min_x() const {
-  assert(!points_.empty());
-  return points_.front().first;
-}
-
-double PiecewiseLinear::max_x() const {
-  assert(!points_.empty());
-  return points_.back().first;
-}
-
 double PiecewiseLinear::inverse(double y) const {
   assert(!points_.empty());
   if (y <= points_.front().second) return points_.front().first;

@@ -21,8 +21,6 @@ class PiecewiseLinear {
 
   bool empty() const { return points_.empty(); }
   std::size_t size() const { return points_.size(); }
-  double min_x() const;
-  double max_x() const;
 
   /// Inverse lookup on a monotonically increasing function: find x such
   /// that f(x) = y (clamped to the domain). Asserts monotonicity in debug.

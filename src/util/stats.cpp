@@ -99,21 +99,4 @@ double probit(double p) {
          (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
 }
 
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
-  assert(x.size() == y.size());
-  LinearFit fit;
-  if (x.size() < 2) return fit;
-  const double mx = mean(x);
-  const double my = mean(y);
-  double sxy = 0.0, sxx = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-  }
-  if (sxx == 0.0) return fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  return fit;
-}
-
 }  // namespace sfc::util

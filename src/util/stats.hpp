@@ -36,13 +36,6 @@ double correlation(std::span<const double> x, std::span<const double> y);
 /// Root-mean-square of a sample.
 double rms(std::span<const double> values);
 
-/// Linear regression y = a + b*x; returns {a, b}.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-};
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y);
-
 /// Inverse standard-normal CDF (Acklam's rational approximation,
 /// |error| < 1.15e-9). Used to place deterministic Gaussian quantiles,
 /// e.g. Preisach domain coercive voltages. `p` in (0, 1).

@@ -13,9 +13,6 @@ class Table {
 
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: format doubles with `%.*g`.
-  void add_row_numeric(const std::vector<double>& values, int precision = 5);
-
   /// Render with column alignment and +---+ separators.
   std::string render() const;
 

@@ -23,8 +23,4 @@ constexpr double celsius_to_kelvin(double celsius) {
   return celsius + kZeroCelsiusInKelvin;
 }
 
-constexpr double kelvin_to_celsius(double kelvin) {
-  return kelvin - kZeroCelsiusInKelvin;
-}
-
 }  // namespace sfc::util

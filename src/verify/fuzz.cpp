@@ -452,16 +452,14 @@ CheckResult check_dc_kcl(const FuzzNetlist& nl, const FuzzOptions& opt) {
   // does (device stamps + gmin) and measure the KCL/branch residual.
   const std::size_t size = circuit.system_size();
   const std::size_t num_nodes = circuit.num_nodes();
-  spice::DenseMatrix a(size, size);
-  std::vector<double> b(size, 0.0);
   spice::SimContext ctx;
   ctx.mode = spice::AnalysisMode::kDcOperatingPoint;
   ctx.temperature_c = nl.temperature_c;
   ctx.gmin = op.gmin_used;
   ctx.num_nodes = num_nodes;
-  spice::Stamper stamper(a, b, op.x, num_nodes);
-  for (const auto& dev : circuit.devices()) dev->stamp(ctx, stamper);
-  for (std::size_t n = 0; n < num_nodes; ++n) a.at(n, n) += ctx.gmin;
+  spice::DenseMatrix a;
+  std::vector<double> b;
+  spice::assemble_dense(circuit, ctx, op.x, a, b);
 
   double worst_rel = 0.0;
   std::size_t worst_row = 0;

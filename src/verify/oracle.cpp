@@ -88,7 +88,9 @@ std::string temp_label(double t) { return "T" + Json::format_number(t); }
 void check_final_system(OracleReport& rep,
                         const sfc::spice::SolverWorkspace& ws,
                         const std::string& label) {
-  sfc::spice::DenseMatrix a = ws.a;
+  const sfc::spice::DenseMatrix system =
+      sfc::spice::dense_from_compact(ws.size, ws.pattern, ws.values);
+  sfc::spice::DenseMatrix a = system;
   std::vector<double> dense = ws.b;
   if (!sfc::spice::lu_solve(a, dense)) {
     rep.structural_failure(label + ": dense LU found the system singular");
@@ -99,30 +101,27 @@ void check_final_system(OracleReport& rep,
   double residual = 0.0, b_norm = 0.0;
   for (std::size_t r = 0; r < ws.size; ++r) {
     double ax = 0.0;
-    for (std::size_t c = 0; c < ws.size; ++c) ax += ws.a.at(r, c) * ws.x_new[c];
+    for (std::size_t c = 0; c < ws.size; ++c) ax += system.at(r, c) * ws.x_new[c];
     residual = std::max(residual, std::fabs(ax - ws.b[r]));
     b_norm = std::max(b_norm, std::fabs(ws.b[r]));
   }
   rep.diff_value("residual_" + label, residual, 0.0, kResidualRel * b_norm);
 }
 
-/// Re-stamp every device at the converged DC point through the public
-/// Stamper and solve densely: a true fixed point reproduces op.x.
+/// Re-stamp every device at the converged DC point into a dense matrix
+/// (spice::assemble_dense) and solve densely: a true fixed point
+/// reproduces op.x.
 void check_dc_fixed_point(OracleReport& rep, sfc::spice::Circuit& circuit,
                           const sfc::spice::DcResult& op,
                           double temperature_c) {
-  const std::size_t size = circuit.system_size();
-  const std::size_t num_nodes = circuit.num_nodes();
-  sfc::spice::DenseMatrix a(size, size);
-  std::vector<double> x(size, 0.0);
   sfc::spice::SimContext ctx;
   ctx.mode = sfc::spice::AnalysisMode::kDcOperatingPoint;
   ctx.temperature_c = temperature_c;
   ctx.gmin = op.gmin_used;
-  ctx.num_nodes = num_nodes;
-  sfc::spice::Stamper stamper(a, x, op.x, num_nodes);
-  for (const auto& dev : circuit.devices()) dev->stamp(ctx, stamper);
-  for (std::size_t n = 0; n < num_nodes; ++n) a.at(n, n) += ctx.gmin;
+  ctx.num_nodes = circuit.num_nodes();
+  sfc::spice::DenseMatrix a;
+  std::vector<double> x;
+  sfc::spice::assemble_dense(circuit, ctx, op.x, a, x);
   const std::string label = temp_label(temperature_c);
   if (!sfc::spice::lu_solve(a, x)) {
     rep.structural_failure(label + ": re-stamped system is singular");

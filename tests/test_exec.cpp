@@ -187,7 +187,7 @@ TEST(ParallelMap, PreservesIndexOrder) {
 TEST(ExecPolicy, ResolvesThreadsAndChunks) {
   EXPECT_EQ(ExecPolicy::serial().resolved_threads(100), 1);
   EXPECT_EQ((ExecPolicy{4, 0}).resolved_threads(2), 2);  // never > n
-  EXPECT_GE(ExecPolicy::max_parallel().resolved_threads(100), 1);
+  EXPECT_GE((ExecPolicy{0, 0}).resolved_threads(100), 1);  // all hardware threads
   EXPECT_EQ((ExecPolicy{2, 5}).resolved_chunk(100, 2), 5u);
   EXPECT_GE((ExecPolicy{2, 0}).resolved_chunk(100, 2), 1u);
 }
@@ -199,6 +199,16 @@ TEST(ExecPolicy, ParsesThreadCountAsOneNonNegativeInteger) {
   for (const char* bad : {"", "abc", "-1", "-0", "+2", "4x", " 4", "4 ",
                           "2.5", "99999999999"}) {
     EXPECT_EQ(parse_thread_count(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(ExecPolicy, ParsesUintAsOneWholeDecimalToken) {
+  EXPECT_EQ(parse_uint("0"), 0u);
+  EXPECT_EQ(parse_uint("200"), 200u);
+  EXPECT_EQ(parse_uint("18446744073709551615"), 18446744073709551615ULL);
+  for (const char* bad : {"", "abc", "-1", "-0", "+2", "5x", " 4", "4 ",
+                          "0x10", "2.5", "18446744073709551616"}) {
+    EXPECT_EQ(parse_uint(bad), std::nullopt) << "'" << bad << "'";
   }
 }
 

@@ -3,7 +3,9 @@
 // temperature dependencies that drive the paper's Fig. 1 asymmetry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "fefet/preisach.hpp"
 
@@ -142,6 +144,66 @@ TEST(Preisach, DomainQuantilesAreDeterministicAndSorted) {
     EXPECT_DOUBLE_EQ(a.domain_vc(i, 27.0), b.domain_vc(i, 27.0));
     if (i > 0) EXPECT_GE(a.domain_vc(i, 27.0), a.domain_vc(i - 1, 27.0));
   }
+}
+
+// polarization() is cached at every mutator. Replay a mixed sequence on
+// an independent copy of the domain states, built from the public
+// domain_vc() and params(), and demand the cached mean equal the summed
+// one bit for bit.
+TEST(Preisach, CachedPolarizationEqualsDomainMeanBitwise) {
+  PreisachModel fe;
+  const PreisachParams& p = fe.params();
+  std::vector<double> state(static_cast<std::size_t>(fe.num_domains()), -1.0);
+  const auto mean = [&state]() {
+    double sum = 0.0;
+    for (const double s : state) sum += s;
+    return sum / static_cast<double>(state.size());
+  };
+  // read_disturb's per-domain update: Merz switching above the coercive
+  // voltage, the nucleation tail below it.
+  const auto disturb = [&](double volts, double total_time,
+                           double temperature_c) {
+    const double direction = volts > 0.0 ? 1.0 : -1.0;
+    const double magnitude = std::fabs(volts);
+    const double tau0 = volts > 0.0 ? p.tau0 : p.tau0_negative;
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      const double vc = fe.domain_vc(static_cast<int>(i), temperature_c);
+      const double rate =
+          magnitude > vc
+              ? 1.0 / (tau0 * std::exp(p.v_activation / (magnitude - vc)))
+              : std::exp(-(vc - magnitude) / p.disturb_slope) / p.disturb_tau0;
+      state[i] += (direction - state[i]) * (1.0 - std::exp(-total_time * rate));
+    }
+  };
+  EXPECT_EQ(fe.polarization(), mean());
+
+  fe.apply_pulse(3.1, 40e-9, 27.0);
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    const double vc = fe.domain_vc(static_cast<int>(i), 27.0);
+    if (3.1 <= vc) continue;
+    const double tau = p.tau0 * std::exp(p.v_activation / (3.1 - vc));
+    state[i] += (1.0 - state[i]) * (1.0 - std::exp(-40e-9 / tau));
+  }
+  EXPECT_EQ(fe.polarization(), mean());
+
+  const double decay = std::exp(-3.0e7 / fe.retention_tau(85.0));
+  fe.age(3.0e7, 85.0);
+  for (double& s : state) s *= decay;
+  EXPECT_EQ(fe.polarization(), mean());
+
+  fe.read_disturb(-1.2, 20e-9, 1000000, 55.0);
+  disturb(-1.2, 20e-9 * 1000000.0, 55.0);
+  EXPECT_EQ(fe.polarization(), mean());
+
+  fe.apply_quasistatic(-2.6, 0.0);
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    if (2.6 > fe.domain_vc(static_cast<int>(i), 0.0)) state[i] = -1.0;
+  }
+  EXPECT_EQ(fe.polarization(), mean());
+
+  fe.set_polarization(0.3);
+  std::fill(state.begin(), state.end(), 0.3);
+  EXPECT_EQ(fe.polarization(), mean());
 }
 
 TEST(Preisach, InvalidParamsRejected) {

@@ -13,7 +13,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -256,6 +258,122 @@ TEST(SolverHotPath, TemperatureSweepBitIdenticalAt1And8Threads) {
 }
 
 // ---------------------------------------------------------------------
+// Slot assembly: the compact values the engine stamps through its tapes
+// equal a dense reference stamping (assemble_dense) bit for bit, in DC
+// and in transient, and a device that changes its stamp sequence within
+// one analysis mode makes the solve throw instead of mis-assembling.
+// ---------------------------------------------------------------------
+
+/// Run single-iteration Newton solves from `x` and, after each, compare
+/// the workspace's system with a dense reference assembly at the iterate
+/// the solve stamped at.
+void expect_slots_match_dense(Engine& engine, const Circuit& circuit,
+                              const SimContext& ctx, std::vector<double> x,
+                              const std::string& what) {
+  NewtonOptions one_iteration;
+  one_iteration.max_iterations = 1;
+  for (int it = 0; it < 4; ++it) {
+    const std::vector<double> stamped_at = x;
+    int iterations = 0;
+    engine.newton_solve(ctx, x, one_iteration, &iterations);
+    ASSERT_EQ(iterations, 1) << what;
+    const SolverWorkspace& ws = engine.workspace(ctx.mode);
+    DenseMatrix a;
+    std::vector<double> b;
+    assemble_dense(circuit, ctx, stamped_at, a, b);
+    const DenseMatrix compact =
+        dense_from_compact(ws.size, ws.pattern, ws.values);
+    ASSERT_EQ(compact.rows(), a.rows()) << what;
+    for (std::size_t i = 0; i < a.rows() * a.cols(); ++i) {
+      ASSERT_TRUE(bits_equal(compact.data()[i], a.data()[i]))
+          << what << " iteration " << it << " entry " << i << ": "
+          << compact.data()[i] << " vs " << a.data()[i];
+    }
+    expect_vectors_bitwise_equal(ws.b, b, what + " rhs");
+  }
+}
+
+TEST(SolverHotPath, CompactValuesEqualDenseReferenceBitwise) {
+  const cim::ArrayConfig cfg = cim::ArrayConfig::proposed_2t1fefet();
+  cim::CiMRow row(cfg);
+  row.set_stored({1, 0, 1, 1, 0, 1, 0, 1});
+  // evaluate() drives the row's WL/EN waveforms for the transient below.
+  ASSERT_TRUE(row.evaluate({1, 1, 0, 1, 0, 1, 1, 0}, 27.0).converged);
+  Circuit& circuit = row.circuit();
+  Engine engine(circuit, 27.0);
+
+  SimContext dc;
+  dc.mode = AnalysisMode::kDcOperatingPoint;
+  dc.temperature_c = 27.0;
+  dc.gmin = cfg.newton.gmin_final;
+  dc.num_nodes = circuit.num_nodes();
+  expect_slots_match_dense(engine, circuit, dc,
+                           std::vector<double>(circuit.system_size(), 0.0),
+                           "DC");
+
+  // Halfway through the MAC cycle: capacitor history and source values
+  // are those of a live transient step.
+  TransientOptions opts;
+  opts.dt = cfg.timing.dt;
+  opts.newton = cfg.newton;
+  opts.record_waveforms = false;
+  const double t_mid = 0.5 * cfg.timing.t_total();
+  const TransientResult tran = engine.transient(t_mid, opts);
+  ASSERT_TRUE(tran.converged);
+  std::vector<double> x;
+  for (const std::string& name : tran.signal_names()) {
+    x.push_back(tran.waveform(name).back());
+  }
+  SimContext step;
+  step.mode = AnalysisMode::kTransient;
+  step.method = IntegrationMethod::kTrapezoidal;
+  step.temperature_c = 27.0;
+  step.gmin = cfg.newton.gmin_final;
+  step.num_nodes = circuit.num_nodes();
+  step.dt = cfg.timing.dt;
+  step.time = t_mid + step.dt;
+  expect_slots_match_dense(engine, circuit, step, x, "transient");
+}
+
+/// Nonlinear element whose stamp sequence changes after its first stamp:
+/// a conductance between `a` and `b` that later stamps only its (a, a)
+/// entry (`shrink`), or the reverse.
+class ShiftingStampDevice : public Device {
+ public:
+  ShiftingStampDevice(NodeId a, NodeId b, bool shrink)
+      : Device("X1"), a_(a), b_(b), shrink_(shrink) {}
+  std::unique_ptr<Device> clone() const override {
+    return std::make_unique<ShiftingStampDevice>(*this);
+  }
+  void stamp(const SimContext& /*ctx*/, Stamper& s) override {
+    const bool full = (stamps_++ == 0) == shrink_;
+    s.conductance(a_, full ? b_ : kGround, 1e-3 + 1e-6 * s.v(a_));
+  }
+  std::vector<NodeId> terminals() const override { return {a_, b_}; }
+
+ private:
+  NodeId a_, b_;
+  bool shrink_;
+  int stamps_ = 0;
+};
+
+TEST(SolverHotPath, ChangedStampSequenceThrows) {
+  for (const bool shrink : {true, false}) {
+    Circuit ckt;
+    const auto in = ckt.node("in");
+    const auto a = ckt.node("a");
+    ckt.add<VSource>("V1", in, kGround, 1.0);
+    ckt.add<Resistor>("R1", in, a, 1000.0);
+    // Added last, so its calls end the nonlinear tape: the mismatch is a
+    // count, which every build type reports the same way.
+    ckt.add<ShiftingStampDevice>(a, in, shrink);
+    Engine engine(ckt, 27.0);
+    EXPECT_THROW(engine.dc_operating_point(), std::logic_error)
+        << (shrink ? "fewer" : "more") << " matrix writes than recorded";
+  }
+}
+
+// ---------------------------------------------------------------------
 // LuPlan: sparse solves vs dense partial pivoting, static pivots under
 // replay, re-ordering on a vanishing pivot, singularity, and fill.
 // ---------------------------------------------------------------------
@@ -281,13 +399,21 @@ std::vector<int> pattern_of(const DenseMatrix& m) {
   return pattern;
 }
 
+/// Compact values of `m` at `pattern`, the form LuPlan::solve takes.
+std::vector<double> values_of(const DenseMatrix& m,
+                              const std::vector<int>& pattern) {
+  std::vector<double> values;
+  for (const int e : pattern) values.push_back(m.data()[e]);
+  return values;
+}
+
 /// Sparse-solve (a, b) with `plan` and hold the result to a dense solve.
 void expect_plan_matches_dense(LuPlan& plan, const DenseMatrix& a,
                                const std::vector<int>& pattern,
                                const std::vector<double>& b,
                                const std::string& what) {
   std::vector<double> x = b;
-  ASSERT_TRUE(plan.solve(a, pattern, x)) << what;
+  ASSERT_TRUE(plan.solve(values_of(a, pattern), pattern, x)) << what;
   DenseMatrix dense = a;
   std::vector<double> x_dense = b;
   ASSERT_TRUE(lu_solve(dense, x_dense)) << what;
@@ -409,7 +535,7 @@ TEST(LuPlanFallback, SingularUpdateInvalidatesPlan) {
   // vanishing pivot.
   DenseMatrix singular = matrix_from({{2.0, 1.0}, {4.0, 2.0}});
   std::vector<double> x = {1.0, 1.0};
-  EXPECT_FALSE(plan.solve(singular, pattern, x));
+  EXPECT_FALSE(plan.solve(values_of(singular, pattern), pattern, x));
   EXPECT_FALSE(plan.valid());
   std::vector<double> x_dense = {1.0, 1.0};
   EXPECT_FALSE(lu_solve(singular, x_dense));
@@ -465,7 +591,7 @@ TEST(SolverHotPath, SwitchTransitionSurvivesPivotFallback) {
   ASSERT_TRUE(op.converged);
   const SolverWorkspace& ws = engine.workspace();
   EXPECT_EQ(ws.plan.refreeze_count(), 1u);
-  DenseMatrix a = ws.a;
+  DenseMatrix a = dense_from_compact(ws.size, ws.pattern, ws.values);
   std::vector<double> x_dense = ws.b;
   ASSERT_TRUE(lu_solve(a, x_dense));
   for (std::size_t i = 0; i < x_dense.size(); ++i) {

@@ -218,6 +218,26 @@ TEST(TraceSpan, WriteChromeProducesParseableFile) {
   std::remove(path.c_str());
 }
 
+// A MAC cycle runs ~1000 Newton solves; a traced one records the analysis
+// spans (transient, its DC operating point) and leaves the per-solve work
+// to the spice.newton.* counters, so trace size does not grow with it.
+TEST(TraceSpan, MacCycleRecordsAConstantNumberOfEvents) {
+  cim::CiMRow row(cim::ArrayConfig::proposed_2t1fefet());
+  row.set_stored({1, 0, 1, 1, 0, 1, 0, 1});
+  Tracer& tracer = Tracer::global();
+  tracer.start();
+  const cim::MacResult mac = row.evaluate({1, 1, 0, 1, 0, 1, 1, 0}, 27.0);
+  tracer.stop();
+  ASSERT_TRUE(mac.converged);
+  EXPECT_GT(mac.newton_iterations, 100);
+  EXPECT_LE(tracer.event_count(), 4u);
+#if SFC_TRACE_ENABLED
+  const Json chrome = tracer.chrome_json();
+  EXPECT_NE(find_event(chrome, "spice.transient"), nullptr);
+  EXPECT_NE(find_event(chrome, "spice.dc_operating_point"), nullptr);
+#endif
+}
+
 TEST(TraceProbe, CounterAndHistogramDeltas) {
   trace::Counter& c = Registry::global().counter("test.probe.counter");
   trace::Histogram& h = Registry::global().histogram("test.probe.hist");

@@ -7,7 +7,8 @@
 //       Run the differential-oracle pairs and print structured diffs.
 //   verify_runner fuzz [--count N] [--seed S] [--dump DIR]
 //       Run the property-based netlist fuzz campaign; failing cases are
-//       shrunk and dumped as .cir reproducers.
+//       shrunk and dumped as .cir reproducers. N (>= 1) and S are whole
+//       decimal tokens (exec::parse_uint); anything else exits 2.
 //   verify_runner check-bench PATH [--keys GOLDEN]
 //       Validate a bench/perf_simulator --json output file against the
 //       expected schema (used by scripts/check.sh). With --keys, the
@@ -30,12 +31,13 @@
 // 2 = usage / IO error.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "trace/trace.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/golden.hpp"
@@ -132,9 +134,18 @@ int cmd_oracle(std::vector<const char*> args) {
 
 int cmd_fuzz(std::vector<const char*> args) {
   sfc::verify::FuzzOptions opt;
-  if (const char* v = flag_value(args, "--count")) opt.count = std::atoi(v);
+  if (const char* v = flag_value(args, "--count")) {
+    const auto count = sfc::exec::parse_uint(v);
+    if (!count || *count > static_cast<std::uint64_t>(
+                               std::numeric_limits<int>::max())) {
+      return usage();
+    }
+    opt.count = static_cast<int>(*count);
+  }
   if (const char* v = flag_value(args, "--seed")) {
-    opt.seed = std::strtoull(v, nullptr, 0);
+    const auto seed = sfc::exec::parse_uint(v);
+    if (!seed) return usage();
+    opt.seed = *seed;
   }
   if (const char* v = flag_value(args, "--dump")) opt.dump_dir = v;
   if (!args.empty() || opt.count <= 0) return usage();
