@@ -151,8 +151,10 @@ MacResult CiMRow::evaluate(const std::vector<int>& inputs,
   Engine& engine = *engine_;
   TransientOptions opts;
   opts.dt = t.dt;
-  opts.method = sfc::spice::IntegrationMethod::kTrapezoidal;
   opts.newton = cfg_.newton;
+  // A cycle reads v_acc at the end and the cell outputs at t_settle.
+  opts.record_waveforms = keep_waveforms;
+  opts.sample_times = {t.t_settle};
 
   MacResult result;
   result.ops = cfg_.cells_per_row + 1;

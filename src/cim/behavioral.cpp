@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -171,7 +172,7 @@ int BehavioralArrayModel::mac_tracking(int true_count, double temperature_c,
 std::string BehavioralArrayModel::to_text() const {
   std::ostringstream out;
   out.precision(12);
-  out << "sfc-behavioral-v1\n";
+  out << kHeader << '\n';
   out << cells_ << ' ' << design_temp_c_ << ' ' << temps_c_.size() << '\n';
   for (double t : temps_c_) out << t << ' ';
   out << '\n';
@@ -186,7 +187,7 @@ BehavioralArrayModel BehavioralArrayModel::from_text(const std::string& text) {
   std::istringstream in(text);
   std::string magic;
   in >> magic;
-  if (magic != "sfc-behavioral-v1") {
+  if (magic != kHeader) {
     throw std::runtime_error("BehavioralArrayModel: bad header");
   }
   BehavioralArrayModel m;
@@ -228,8 +229,10 @@ BehavioralArrayModel BehavioralArrayModel::calibrate_cached(
     if (probe) {
       try {
         return load(cache_path);
-      } catch (const std::exception&) {
-        // fall through to recalibration on a corrupt cache
+      } catch (const std::exception& e) {
+        // A corrupt cache, or one another solver version calibrated.
+        std::fprintf(stderr, "calibrate_cached: discarding %s (%s)\n",
+                     cache_path.c_str(), e.what());
       }
     }
   }

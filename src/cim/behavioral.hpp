@@ -70,6 +70,10 @@ class BehavioralArrayModel {
   /// Decision thresholds (midpoints of design-temperature levels).
   const std::vector<double>& thresholds() const { return thresholds_; }
 
+  /// First token of the serialized form. The version changes whenever the
+  /// solver behind calibrate() does, so older caches are recalibrated.
+  static constexpr const char* kHeader = "sfc-behavioral-v2";
+
   /// Serialization so benches can cache the (expensive) calibration.
   std::string to_text() const;
   static BehavioralArrayModel from_text(const std::string& text);
@@ -77,6 +81,8 @@ class BehavioralArrayModel {
   static BehavioralArrayModel load(const std::string& path);
 
   /// Calibrate, or load from `cache_path` when present (saves the result).
+  /// A cache that does not parse, a different header version included, is
+  /// discarded with one line on stderr and recalibrated.
   static BehavioralArrayModel calibrate_cached(
       const ArrayConfig& cfg, const std::vector<double>& temps_c,
       const std::string& cache_path, const MonteCarloConfig* variation =

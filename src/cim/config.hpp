@@ -42,7 +42,7 @@ struct ReadTiming {
   double t_edge = 0.05e-9;     ///< rise/fall time of WL and EN [s]
   double t_settle = 5.0e-9;    ///< cell phase duration [s]
   double t_share = 1.9e-9;     ///< charge-share phase duration [s]
-  double dt = 2.0e-11;         ///< transient step [s]
+  double dt = 5.0e-10;         ///< largest transient step [s] (LTE-controlled)
 
   /// Total MAC latency (paper: 6.9 ns).
   double t_total() const { return t_settle + t_share; }

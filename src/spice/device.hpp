@@ -8,7 +8,9 @@
 
 #include <cassert>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "spice/matrix.hpp"
@@ -26,7 +28,7 @@ enum class AnalysisMode {
 };
 
 enum class IntegrationMethod {
-  kBackwardEuler,  ///< robust, first order (default for step 1 / breakpoints)
+  kBackwardEuler,  ///< robust, first order (the two steps after a breakpoint)
   kTrapezoidal,    ///< second order
 };
 
@@ -41,6 +43,15 @@ struct SimContext {
   /// Number of non-ground nodes; aux variable k of a device lives at
   /// x[num_nodes + aux_base + k]. Set by the engine.
   std::size_t num_nodes = 0;
+};
+
+/// The two terminals of a charge-storing element (Device::charge_terminals).
+using ChargeTerminals = std::pair<NodeId, NodeId>;
+
+/// What an independent source drives at one instant (Device::source_output).
+struct SourceOutput {
+  double volts = 0.0;
+  double amps = 0.0;
 };
 
 /// Assembly facade: devices only see stamping primitives, never the matrix
@@ -276,13 +287,23 @@ class Device {
     (void)x;
   }
 
-  /// Power delivered *by* this device into the circuit [W] at the accepted
-  /// solution x (sources override; passives return 0 = they only absorb).
-  virtual double delivered_power(const SimContext& ctx,
-                                 const std::vector<double>& x) const {
+  /// Terminals across which this device stores charge (capacitors): the
+  /// transient engine bounds each step's local truncation error on the
+  /// voltage between them. Default: none.
+  virtual std::optional<ChargeTerminals> charge_terminals() const {
+    return std::nullopt;
+  }
+
+  /// Voltage across and current through an independent source at the
+  /// accepted solution x, oriented so that volts * amps is the power it
+  /// delivers into the circuit. The transient engine integrates source
+  /// energy as v * dq, with dq taken from the step's integration formula.
+  /// Sources override; everything else delivers nothing.
+  virtual SourceOutput source_output(const SimContext& ctx,
+                                     const std::vector<double>& x) const {
     (void)ctx;
     (void)x;
-    return 0.0;
+    return {};
   }
 
   /// Time points where this device's waveforms have corners; the transient

@@ -1,6 +1,7 @@
 #include "spice/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -354,6 +355,101 @@ std::vector<double> log_frequency_grid(double f_start, double f_stop,
   return freqs;
 }
 
+namespace {
+
+/// Accepted solutions of the current smooth stretch of a transient (since
+/// the last breakpoint), oldest first; only the three newest are kept.
+class StepHistory {
+ public:
+  void restart(double t, const std::vector<double>& x) {
+    count_ = 0;
+    push(t, x);
+  }
+  void push(double t, const std::vector<double>& x) {
+    if (count_ == kDepth) {
+      std::rotate(t_.begin(), t_.begin() + 1, t_.end());
+      std::rotate(x_.begin(), x_.begin() + 1, x_.end());
+      --count_;
+    }
+    t_[count_] = t;
+    x_[count_] = x;
+    ++count_;
+  }
+  std::size_t size() const { return count_; }
+  double t(std::size_t i) const { return t_[i]; }
+  const std::vector<double>& x(std::size_t i) const { return x_[i]; }
+  double newest_t() const { return t_[count_ - 1]; }
+  const std::vector<double>& newest() const { return x_[count_ - 1]; }
+
+ private:
+  static constexpr std::size_t kDepth = 3;
+  std::array<double, kDepth> t_{};
+  std::array<std::vector<double>, kDepth> x_;
+  std::size_t count_ = 0;
+};
+
+/// Voltage across a pair of terminals in solution `x`.
+double state_voltage(const std::vector<double>& x, const ChargeTerminals& c) {
+  const double va =
+      c.first == kGround ? 0.0 : x[static_cast<std::size_t>(c.first)];
+  const double vb =
+      c.second == kGround ? 0.0 : x[static_cast<std::size_t>(c.second)];
+  return va - vb;
+}
+
+/// Largest ratio, over the capacitor voltages, of a candidate step's
+/// estimated LTE to its tolerance abstol + timetol * |dv/dt|. A step of
+/// `order` p estimates the error from the (p+1)-th divided difference D
+/// over the newest p+1 history points and the candidate: h^2 * D for
+/// Backward Euler (h^2/2 * v'') and h^3/2 * D for the trapezoidal rule
+/// (h^3/12 * v^(3)). With `x_half` (Backward Euler from the only history
+/// point) it is v_h - 2 v_{h/2} + v_0 instead.
+double lte_ratio(const StepHistory& hist, double t_new,
+                 const std::vector<double>& x_new,
+                 const std::vector<double>* x_half, int order,
+                 const std::vector<ChargeTerminals>& states) {
+  const std::size_t m = static_cast<std::size_t>(order) + 1;  // DD order
+  const std::size_t first = x_half ? 0 : hist.size() - m;
+  double times[4];
+  for (std::size_t j = 0; j < m && !x_half; ++j) times[j] = hist.t(first + j);
+  times[m] = t_new;
+  const double h = t_new - hist.newest_t();
+  const double scale = order == 1 ? h * h : 0.5 * h * h * h;
+  double worst = 0.0;
+  for (const ChargeTerminals& c : states) {
+    const double v_new = state_voltage(x_new, c);
+    const double v_last = state_voltage(hist.newest(), c);
+    double err;
+    if (x_half) {
+      err = v_new - 2.0 * state_voltage(*x_half, c) + v_last;
+    } else {
+      double dd[4];
+      for (std::size_t j = 0; j < m; ++j) {
+        dd[j] = state_voltage(hist.x(first + j), c);
+      }
+      dd[m] = v_new;
+      for (std::size_t level = 1; level <= m; ++level) {
+        for (std::size_t j = m; j >= level; --j) {
+          dd[j] = (dd[j] - dd[j - 1]) / (times[j] - times[j - level]);
+        }
+      }
+      err = scale * dd[m];
+    }
+    const double tol = kLteAbstol + kLteTimetol * std::fabs(v_new - v_last) / h;
+    worst = std::max(worst, std::fabs(err) / tol);
+  }
+  return worst;
+}
+
+/// Step-size factor for an error ratio `r` of a method of the given order:
+/// 0.9 r^(-1/(order+1)), within [1/10, 2].
+double step_factor(double r, int order) {
+  if (r <= 0.0) return 2.0;
+  return std::clamp(0.9 * std::pow(r, -1.0 / (order + 1)), 0.1, 2.0);
+}
+
+}  // namespace
+
 TransientResult Engine::transient(double t_stop,
                                   const TransientOptions& options) {
   SFC_TRACE_SPAN("spice.transient");
@@ -377,10 +473,13 @@ TransientResult Engine::transient(double t_stop,
   ctx.time = 0.0;
   ctx.dt = 0.0;
   ctx.num_nodes = circuit_.num_nodes();
-
-  for (const auto& dev : circuit_.devices()) {
-    dev->start_transient(ctx, x);
+  const auto& devices = circuit_.devices();
+  std::vector<ChargeTerminals> states;
+  for (const auto& dev : devices) {
+    if (const auto c = dev->charge_terminals()) states.push_back(*c);
   }
+
+  for (const auto& dev : devices) dev->start_transient(ctx, x);
 
   result.set_signal_names(signal_names());
   if (options.record_waveforms) result.append_sample(0.0, x);
@@ -388,105 +487,146 @@ TransientResult Engine::transient(double t_stop,
   const std::vector<double> bps = breakpoints(t_stop);
   std::size_t next_bp = 0;
   SFC_TRACE_COUNT("spice.tran.breakpoints", bps.size());
-
-  // Running per-source power for trapezoidal energy integration.
-  std::vector<double> prev_power(circuit_.devices().size(), 0.0);
-  {
-    std::size_t di = 0;
-    for (const auto& dev : circuit_.devices()) {
-      prev_power[di++] = dev->delivered_power(ctx, x);
-    }
+  std::vector<double> samples;
+  for (double s : options.sample_times) {
+    if (s > 1e-18 && s < t_stop - 1e-18) samples.push_back(s);
   }
-  std::vector<double> energy(circuit_.devices().size(), 0.0);
+  std::sort(samples.begin(), samples.end());
+  std::size_t next_sample = 0;
 
+  // Source energy: v * dq per step, with dq from the step's own formula.
+  std::vector<SourceOutput> drive(devices.size());
+  for (std::size_t di = 0; di < devices.size(); ++di) {
+    drive[di] = devices[di]->source_output(ctx, x);
+  }
+  std::vector<double> energy(devices.size(), 0.0);
+
+  // First step after a breakpoint: a tenth of the last step or of the gap
+  // to the next breakpoint, and at most the first step the previous
+  // breakpoint accepted (a run's edges are alike).
+  double h_first = options.dt;
+  auto first_step = [&](double t_from, double h_before) {
+    const double next = next_bp < bps.size() ? bps[next_bp] : t_stop;
+    return std::min({options.dt, h_first,
+                     0.1 * std::min(h_before, next - t_from)});
+  };
+  // Below this step the LTE check no longer rejects.
+  const double h_min = 1e-6 * options.dt;
+
+  // The run opens with one Backward Euler step of h_min: it moves the
+  // nodes from the DC solution onto the capacitors' initial conditions, a
+  // jump no step size resolves, and step control starts from there.
+  StepHistory hist;
+  hist.restart(0.0, x);
   double t = 0.0;
-  bool just_crossed_breakpoint = true;  // first step uses BE for robustness
+  double h = h_min;
+  bool settle = true;
+  std::vector<double> x_try;
+  std::vector<double> x_half;
   while (t < t_stop - 1e-18) {
-    // Choose the step: dt, clipped to the next breakpoint / stop.
-    double target = t + options.dt;
-    bool hits_bp = false;
-    if (next_bp < bps.size() && bps[next_bp] <= target + 1e-18) {
-      target = bps[next_bp];
-      hits_bp = true;
-    }
-    if (target > t_stop) {
-      target = t_stop;
-      hits_bp = false;
-    }
-    const double dt = target - t;
-    if (dt <= 0.0) {  // breakpoint coincides with current time
-      ++next_bp;
-      continue;
+    // The next instant the run must land on exactly. A sample time within
+    // 1e-18 s of a breakpoint stands in for it, so samples land on the
+    // times asked for.
+    double stop = t_stop;
+    if (next_bp < bps.size()) stop = std::min(stop, bps[next_bp]);
+    if (next_sample < samples.size() &&
+        samples[next_sample] < stop + 1e-18) {
+      stop = samples[next_sample];
     }
 
-    // Solve the step, halving on Newton failure.
-    bool solved = false;
-    std::vector<double> x_try;
-    int retries = 0;
-    double step = dt;
-    int last_iters = 0;
-    while (retries <= options.max_step_retries) {
-      ctx.time = t + step;
+    // Backward Euler for the two steps after a breakpoint, the first one
+    // checked against a half step from the same point.
+    const bool from_breakpoint = hist.size() == 1 && !settle;
+    ctx.method = hist.size() < 3 ? IntegrationMethod::kBackwardEuler
+                                 : options.method;
+    const int order = ctx.method == IntegrationMethod::kTrapezoidal ? 2 : 1;
+    int newton_retries = 0;
+    double step = 0.0;
+    double ratio = 0.0;
+    for (;;) {
+      // Land on `stop`, splitting the way there rather than leaving a
+      // sliver.
+      const double remaining = stop - t;
+      step = h >= remaining ? remaining : std::min(h, 0.5 * remaining);
+      ctx.time = step == remaining ? stop : t + step;
       ctx.dt = step;
-      ctx.method = just_crossed_breakpoint ? IntegrationMethod::kBackwardEuler
-                                           : options.method;
       x_try = x;
       int iters = 0;
-      if (newton_solve(ctx, x_try, options.newton, &iters)) {
-        result.total_newton_iterations += iters;
-        last_iters = iters;
-        solved = true;
-        break;
-      }
+      bool ok = newton_solve(ctx, x_try, options.newton, &iters);
       result.total_newton_iterations += iters;
-      SFC_TRACE_COUNT("spice.tran.steps_rejected", 1);
-      step *= 0.5;
-      ++retries;
-    }
-    if (!solved) {
-      result.converged = false;
-      return result;
-    }
-
-    SFC_TRACE_COUNT("spice.tran.steps_accepted", 1);
-    SFC_TRACE_HIST("spice.tran.newton_iterations_per_step", last_iters);
-
-    x = x_try;
-    for (const auto& dev : circuit_.devices()) {
-      dev->accept_step(ctx, x);
-    }
-
-    // Energy bookkeeping (trapezoidal in time).
-    {
-      std::size_t di = 0;
-      for (const auto& dev : circuit_.devices()) {
-        const double p = dev->delivered_power(ctx, x);
-        energy[di] += 0.5 * (p + prev_power[di]) * ctx.dt;
-        prev_power[di] = p;
-        ++di;
+      if (ok && from_breakpoint) {
+        SimContext half = ctx;
+        half.time = t + 0.5 * step;
+        half.dt = 0.5 * step;
+        x_half = x;
+        int half_iters = 0;
+        ok = newton_solve(half, x_half, options.newton, &half_iters);
+        result.total_newton_iterations += half_iters;
       }
+      if (!ok) {
+        SFC_TRACE_COUNT("spice.tran.steps_rejected", 1);
+        if (++newton_retries > options.max_step_retries) {
+          result.converged = false;
+          return result;
+        }
+        h = 0.5 * step;
+        continue;
+      }
+      if (!settle) {
+        ratio = lte_ratio(hist, ctx.time, x_try,
+                          from_breakpoint ? &x_half : nullptr, order, states);
+        if (ratio > 1.0 && step > h_min) {
+          SFC_TRACE_COUNT("spice.tran.steps_rejected", 1);
+          h = std::max(h_min, step * step_factor(ratio, order));
+          continue;
+        }
+      }
+      SFC_TRACE_HIST("spice.tran.newton_iterations_per_step", iters);
+      break;
+    }
+    SFC_TRACE_COUNT("spice.tran.steps_accepted", 1);
+    if (from_breakpoint) h_first = step;
+
+    x.swap(x_try);
+    for (const auto& dev : devices) dev->accept_step(ctx, x);
+    for (std::size_t di = 0; di < devices.size(); ++di) {
+      const SourceOutput now = devices[di]->source_output(ctx, x);
+      const SourceOutput& before = drive[di];
+      energy[di] += ctx.method == IntegrationMethod::kTrapezoidal
+                        ? 0.25 * (before.volts + now.volts) *
+                              (before.amps + now.amps) * step
+                        : now.volts * now.amps * step;
+      drive[di] = now;
     }
 
+    // A step cut short to land on `stop` leaves the wanted size alone.
+    const double grown = std::min(options.dt, step * step_factor(ratio, order));
+    h = step < h ? std::max(h, grown) : grown;
     t = ctx.time;
-    just_crossed_breakpoint = false;
-    if (hits_bp && std::fabs(t - bps[next_bp]) < 1e-18) {
-      ++next_bp;
-      just_crossed_breakpoint = true;
-    }
     if (options.record_waveforms) result.append_sample(t, x);
+    if (next_sample < samples.size() &&
+        std::fabs(t - samples[next_sample]) < 1e-18) {
+      ++next_sample;
+      if (!options.record_waveforms) result.append_sample(t, x);
+    }
+    const bool at_breakpoint =
+        next_bp < bps.size() && std::fabs(t - bps[next_bp]) < 1e-18;
+    if (at_breakpoint) ++next_bp;
+    if (settle || at_breakpoint) {
+      hist.restart(t, x);
+      h = first_step(t, settle ? options.dt : h);
+      settle = false;
+    } else {
+      hist.push(t, x);
+    }
   }
 
-  {
-    std::size_t di = 0;
-    for (const auto& dev : circuit_.devices()) {
-      if (energy[di] != 0.0) result.source_energy[dev->name()] = energy[di];
-      ++di;
+  for (std::size_t di = 0; di < devices.size(); ++di) {
+    if (energy[di] != 0.0) {
+      result.source_energy[devices[di]->name()] = energy[di];
     }
   }
-  if (!options.record_waveforms) {
-    result.set_signal_names(signal_names());
-    result.append_sample(t, x);
-  }
+  if (!options.record_waveforms) result.append_sample(t, x);
   result.converged = true;
   return result;
 }

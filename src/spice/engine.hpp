@@ -1,7 +1,8 @@
 // Simulation engine: Newton-Raphson DC operating point (with damping and
-// gmin stepping) and fixed/breakpoint-aware transient analysis with energy
-// accounting. This is the stand-in for the commercial simulator the paper
-// used (Cadence Spectre); see DESIGN.md for the substitution rationale.
+// gmin stepping) and LTE-controlled, breakpoint-aware transient analysis
+// with charge-consistent source energy accounting. This is the stand-in
+// for the commercial simulator the paper used (Cadence Spectre); see
+// DESIGN.md for the substitution rationale.
 #pragma once
 
 #include <vector>
@@ -65,17 +66,38 @@ void assemble_dense(const Circuit& circuit, const SimContext& ctx,
                     const std::vector<double>& x, DenseMatrix& a,
                     std::vector<double>& b);
 
+/// Transient step control. Every step is sized by its local truncation
+/// error (LTE) on the capacitor voltages: the trapezoidal rule's
+/// h^3/12 * v^(3), or Backward Euler's h^2/2 * v'', estimated from divided
+/// differences of the accepted solutions since the last waveform
+/// breakpoint. A step whose error exceeds kLteAbstol + kLteTimetol *
+/// |dv/dt| on any capacitor is retried shorter; otherwise the next step
+/// grows, up to `dt`. Each breakpoint restarts the history with two
+/// Backward Euler steps; the first is checked against a half step from
+/// the same point (one extra Newton solve).
 struct TransientOptions {
-  /// Nominal time step [s]. The engine shortens steps to hit waveform
-  /// breakpoints and halves them on Newton failure.
+  /// Largest time step [s]. Steps also land exactly on breakpoints,
+  /// sample times and t_stop.
   double dt = 1e-11;
   IntegrationMethod method = IntegrationMethod::kTrapezoidal;
   NewtonOptions newton;
-  /// Maximum number of step halvings before giving up on a step.
+  /// Maximum number of step halvings on Newton failure before giving up.
   int max_step_retries = 12;
-  /// Record waveforms (disable for energy-only runs to save memory).
+  /// Record every accepted step (disable for energy-only runs to save
+  /// memory; the final state is always recorded).
   bool record_waveforms = true;
+  /// Times inside (0, t_stop) the run steps onto exactly and always
+  /// records, without restarting the integration history there.
+  std::vector<double> sample_times;
 };
+
+/// LTE tolerance per capacitor voltage: kLteAbstol [V] plus the change a
+/// time shift of kLteTimetol [s] makes, kLteTimetol * |dv/dt|. The second
+/// term loosens fast edges, whose errors are timing errors that the next
+/// RC time constant damps, and keeps slow charging, whose errors keep one
+/// sign and add up, at kLteAbstol.
+inline constexpr double kLteAbstol = 2e-6;
+inline constexpr double kLteTimetol = 1e-13;
 
 class Engine {
  public:
@@ -92,8 +114,13 @@ class Engine {
   DcResult dc_operating_point(const NewtonOptions& options = {},
                               const std::vector<double>* warm_start = nullptr);
 
-  /// Transient from t = 0 to t_stop. Performs a DC operating point first
-  /// (sources at t = 0) unless `initial_x` is supplied.
+  /// Transient from t = 0 to t_stop, starting from the DC operating point
+  /// (sources at t = 0), with LTE step control (TransientOptions). Each
+  /// source's energy is v * dq per step, with dq from the step's own
+  /// formula: h * i_{n+1} for Backward Euler, h * (i_n + i_{n+1}) / 2 at
+  /// the mean voltage for the trapezoidal rule. It therefore equals the
+  /// charge the integrator moved, times the voltage it moved it at, with
+  /// no error of its own from the step size.
   TransientResult transient(double t_stop, const TransientOptions& options);
 
   /// AC small-signal sweep: solve the DC operating point, then

@@ -165,15 +165,14 @@ void VSource::stamp_ac(const SimContext& /*ctx*/, AcStamper& s) {
   s.add_rhs(k, ac_magnitude_);
 }
 
-double VSource::delivered_power(const SimContext& ctx,
-                                const std::vector<double>& x) const {
-  // x[k] is the current flowing from + into the source; power delivered to
-  // the circuit is -V * x[k].
+SourceOutput VSource::source_output(const SimContext& ctx,
+                                   const std::vector<double>& x) const {
+  // x[k] is the current flowing from + into the source, so the source
+  // drives -x[k] out of its + terminal.
   const double v = ctx.mode == AnalysisMode::kDcOperatingPoint
                        ? waveform_.initial()
                        : waveform_.at(ctx.time);
-  const double i = x[ctx.num_nodes + static_cast<std::size_t>(aux_base())];
-  return -v * i;
+  return {v, -x[ctx.num_nodes + static_cast<std::size_t>(aux_base())]};
 }
 
 void VSource::collect_breakpoints(double t_stop,
@@ -201,14 +200,14 @@ void ISource::stamp(const SimContext& ctx, Stamper& s) {
   s.current(from_, to_, i);
 }
 
-double ISource::delivered_power(const SimContext& ctx,
-                                const std::vector<double>& x) const {
+SourceOutput ISource::source_output(const SimContext& ctx,
+                                   const std::vector<double>& x) const {
   const double i = ctx.mode == AnalysisMode::kDcOperatingPoint
                        ? waveform_.initial()
                        : waveform_.at(ctx.time);
   const double vf = from_ == kGround ? 0.0 : x[static_cast<std::size_t>(from_)];
   const double vt = to_ == kGround ? 0.0 : x[static_cast<std::size_t>(to_)];
-  return i * (vt - vf);
+  return {vt - vf, i};
 }
 
 void ISource::collect_breakpoints(double t_stop,

@@ -46,6 +46,9 @@ class Capacitor final : public Device {
                        const std::vector<double>& x) override;
   void accept_step(const SimContext& ctx,
                    const std::vector<double>& x) override;
+  std::optional<ChargeTerminals> charge_terminals() const override {
+    return ChargeTerminals{a_, b_};
+  }
   std::vector<NodeId> terminals() const override { return {a_, b_}; }
 
   double capacitance() const { return farads_; }
@@ -107,8 +110,8 @@ class VSource final : public Device {
   bool is_linear() const override { return true; }
   void stamp(const SimContext& ctx, Stamper& s) override;
   void stamp_ac(const SimContext& ctx, AcStamper& s) override;
-  double delivered_power(const SimContext& ctx,
-                         const std::vector<double>& x) const override;
+  SourceOutput source_output(const SimContext& ctx,
+                             const std::vector<double>& x) const override;
   void collect_breakpoints(double t_stop,
                            std::vector<double>& out) const override;
   std::vector<NodeId> terminals() const override { return {plus_, minus_}; }
@@ -141,8 +144,8 @@ class ISource final : public Device {
 
   bool is_linear() const override { return true; }
   void stamp(const SimContext& ctx, Stamper& s) override;
-  double delivered_power(const SimContext& ctx,
-                         const std::vector<double>& x) const override;
+  SourceOutput source_output(const SimContext& ctx,
+                             const std::vector<double>& x) const override;
   void collect_breakpoints(double t_stop,
                            std::vector<double>& out) const override;
   std::vector<NodeId> terminals() const override { return {from_, to_}; }

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "cim/behavioral.hpp"
 
@@ -102,7 +103,7 @@ TEST(Behavioral, SerializationRoundTrip) {
 TEST(Behavioral, RejectsCorruptText) {
   EXPECT_THROW(BehavioralArrayModel::from_text("garbage"),
                std::runtime_error);
-  EXPECT_THROW(BehavioralArrayModel::from_text("sfc-behavioral-v1\n0 27 0\n"),
+  EXPECT_THROW(BehavioralArrayModel::from_text("sfc-behavioral-v2\n0 27 0\n"),
                std::runtime_error);
 }
 
@@ -117,6 +118,30 @@ TEST(Behavioral, FileCacheRoundTrip) {
   const BehavioralArrayModel m2 = BehavioralArrayModel::calibrate_cached(
       ArrayConfig::proposed_2t1fefet(), kTemps, path);
   EXPECT_NEAR(m1.v_acc(8, 27.0), m2.v_acc(8, 27.0), 1e-9);
+  std::filesystem::remove(path);
+}
+
+TEST(Behavioral, CacheFromAnotherSolverVersionIsRecalibrated) {
+  // A cache in the previous format (same layout, older header) was
+  // calibrated by another solver: it is discarded and rewritten.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "sfc_beh_cache_v1.txt")
+          .string();
+  {
+    std::ofstream out(path);
+    out << "sfc-behavioral-v1\n8 27 1\n27\n";
+    for (int k = 0; k <= 8; ++k) out << 0.1 * k << ' ';
+    out << '\n';
+    for (int k = 0; k <= 8; ++k) out << 0.0 << ' ';
+    out << '\n';
+  }
+  const BehavioralArrayModel m = BehavioralArrayModel::calibrate_cached(
+      ArrayConfig::proposed_2t1fefet(), {27.0}, path);
+  EXPECT_LT(m.v_acc(8, 27.0), 0.5);  // calibrated, not the stale 0.8 V
+  std::ifstream in(path);
+  std::string header;
+  in >> header;
+  EXPECT_EQ(header, BehavioralArrayModel::kHeader);
   std::filesystem::remove(path);
 }
 

@@ -3,7 +3,9 @@
 // pattern invariance, and write-path programming.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "cim/energy.hpp"
 #include "cim/mac.hpp"
@@ -128,6 +130,56 @@ TEST(CiMRow, EnergyBreakdownSumsToTotal) {
               std::fabs(r.energy_joules) * 1e-9);
   EXPECT_FALSE(b.per_source.empty());
   EXPECT_GT(b.tops_per_watt, 0.0);
+}
+
+TEST(CiMRow, LteSteppingMatchesOnePicosecondSteps) {
+  // LTE-controlled MAC cycles against the same cycles with every step
+  // capped at 1 ps: v_acc within 3.2e-5 V (the largest deviation fixed
+  // 20 ps steps showed over these points), E/op within 1 %, and at most
+  // 750 Newton iterations per cycle.
+  const ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
+  ArrayConfig fine_cfg = cfg;
+  fine_cfg.timing.dt = 1e-12;
+  CiMRow row(cfg);
+  CiMRow fine(fine_cfg);
+  row.set_stored(std::vector<int>(8, 1));
+  fine.set_stored(std::vector<int>(8, 1));
+  for (const double temperature : kTemps) {
+    for (const int mac : {0, 4, 8}) {
+      std::vector<int> inputs(8, 0);
+      for (int i = 0; i < mac; ++i) inputs[static_cast<std::size_t>(i)] = 1;
+      const MacResult r = row.evaluate(inputs, temperature);
+      const MacResult ref = fine.evaluate(inputs, temperature);
+      ASSERT_TRUE(r.converged && ref.converged);
+      SCOPED_TRACE("MAC " + std::to_string(mac) + " at " +
+                   std::to_string(temperature) + " degC");
+      EXPECT_NEAR(r.v_acc, ref.v_acc, 3.2e-5);
+      EXPECT_NEAR(r.energy_per_op(), ref.energy_per_op(),
+                  0.01 * ref.energy_per_op());
+      EXPECT_LE(r.newton_iterations, 750);
+    }
+  }
+}
+
+TEST(CiMRow, CellOutputsComeFromTheAcceptedStepAtSettle) {
+  // Every cycle steps onto t_settle, MAC 0 (no WL pulse corner there)
+  // included, and a cycle that keeps no waveforms reads the same bits.
+  const ArrayConfig cfg = ArrayConfig::proposed_2t1fefet();
+  CiMRow row(cfg);
+  row.set_stored(std::vector<int>(8, 1));
+  row.evaluate(std::vector<int>(8, 1), 27.0);  // warm the solver workspace
+  for (const std::vector<int>& inputs :
+       {std::vector<int>(8, 0), std::vector<int>{1, 0, 1, 1, 0, 0, 1, 0}}) {
+    const MacResult lean = row.evaluate(inputs, 27.0);
+    const MacResult kept = row.evaluate(inputs, 27.0, /*keep_waveforms=*/true);
+    ASSERT_TRUE(lean.converged && kept.converged);
+    const std::vector<double>& times = kept.waveforms.time();
+    EXPECT_NE(std::find(times.begin(), times.end(), cfg.timing.t_settle),
+              times.end());
+    EXPECT_EQ(lean.v_cell, kept.v_cell);
+    EXPECT_EQ(lean.v_acc, kept.v_acc);
+    EXPECT_EQ(lean.waveforms.num_samples(), 0u);
+  }
 }
 
 TEST(CiMRow, ProgramPathMatchesDirectSet) {

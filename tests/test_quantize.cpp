@@ -100,7 +100,7 @@ const BehavioralArrayModel& proposed_with_sigma() {
 /// level 7), so at 85 degC every count - level 0 included - decodes wrong.
 /// `sigma` is the readout spread of every level.
 BehavioralArrayModel shifted_model(double sigma) {
-  std::string text = "sfc-behavioral-v1\n8 27 2\n27 85\n";
+  std::string text = "sfc-behavioral-v2\n8 27 2\n27 85\n";
   for (int k = 0; k <= 8; ++k) text += std::to_string(0.1 * k) + " ";
   for (int k = 0; k <= 8; ++k) text += std::to_string(0.1 * std::min(k + 1, 8 - (k == 8))) + " ";
   text += "\n";

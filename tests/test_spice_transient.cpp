@@ -115,6 +115,64 @@ TEST(Transient, SourceEnergyMatchesCapacitorEnergyPlusLoss) {
   EXPECT_NEAR(delivered, c * v * v, c * v * v * 0.02);
 }
 
+// Source energy is v * dq with dq from the step's own integration formula,
+// so a constant source that charges a capacitor through a resistor from 0 V
+// delivers exactly V * C * v_C(end) (the charge it moved, at its voltage),
+// whatever the steps. R = 10 ohm and C = 100 pF (tau = 1 ns) keep the
+// gmin leaks' charge below 1e-10 of C * V.
+TEST(Transient, ConstantSourceEnergyEqualsChargeMovedAtEveryStepCap) {
+  const double r = 10.0, c = 100e-12, v = 1.5;
+  for (const IntegrationMethod method :
+       {IntegrationMethod::kBackwardEuler, IntegrationMethod::kTrapezoidal}) {
+    for (const double cap : {1e-12, 1e-11, 1e-10}) {
+      Circuit ckt = make_rc(r, c, v);
+      Engine engine(ckt, 27.0);
+      TransientOptions opts;
+      opts.dt = cap;
+      opts.method = method;
+      const TransientResult tr = engine.transient(2e-9, opts);
+      ASSERT_TRUE(tr.converged);
+      const double charge = c * tr.final_value("out");
+      EXPECT_NEAR(tr.total_source_energy(), v * charge, v * charge * 1e-9)
+          << "cap " << cap << " s, "
+          << (method == IntegrationMethod::kTrapezoidal ? "trapezoidal"
+                                                        : "backward Euler");
+    }
+  }
+}
+
+TEST(Transient, RampedSourceEnergyMatchesAnalytic) {
+  // A source ramping 0 -> V over t_r charges an RC; the energy it delivers
+  // is the closed-form integral of V(t) * i(t).
+  const double r = 10.0, c = 100e-12, v = 1.2, tau = r * c;
+  const double delay = 0.2e-9, t_r = 1e-9, t_stop = 6e-9;
+  Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.add<VSource>("V1", in, kGround,
+                   Waveform::pulse(0.0, v, delay, t_r, t_r, 20e-9, 0.0, 1));
+  ckt.add<Resistor>("R1", in, out, r);
+  ckt.add<Capacitor>("C1", out, kGround, c, /*ic=*/0.0);
+  Engine engine(ckt, 27.0);
+  TransientOptions opts;
+  opts.dt = 1e-10;
+  const TransientResult tr = engine.transient(t_stop, opts);
+  ASSERT_TRUE(tr.converged);
+
+  // Ramp: v_C = (V/t_r)(t - tau(1 - e^{-t/tau})),
+  // i = (C V/t_r)(1 - e^{-t/tau}).
+  const double decay = std::exp(-t_r / tau);
+  const double ramp_energy =
+      c * v * v / (t_r * t_r) *
+      (0.5 * t_r * t_r - (tau * tau - tau * (t_r + tau) * decay));
+  const double v_ramp_end = v / t_r * (t_r - tau * (1.0 - decay));
+  // Hold: the source moves the rest of the charge at V.
+  const double hold_energy = v * c * (v - v_ramp_end) *
+                             (1.0 - std::exp(-(t_stop - delay - t_r) / tau));
+  const double expected = ramp_energy + hold_energy;
+  EXPECT_NEAR(tr.total_source_energy(), expected, 0.01 * expected);
+}
+
 TEST(Transient, SwitchConnectsMidRun) {
   // Cap charged to 1V shares onto an equal cap through the EN switch.
   Circuit ckt;
